@@ -22,7 +22,11 @@ by the payload, written contiguously with wraparound splitting.
 Synchronization is lock-free, exploiting the single-producer /
 single-consumer shape: the producer alone advances the ``tail`` byte
 counter, the consumer alone advances ``head``, and both counters are
-aligned 8-byte stores (atomic on every platform CPython runs on).  A
+aligned 8-byte stores (atomic on every platform CPython runs on).  They
+are published through a ``memoryview`` of the state block cast to
+``"Q"``, whose item assignment is one ``memcpy`` of the native word;
+``Struct.pack_into`` zero-fills its target before packing byte by byte,
+and a reader in the other process can catch the counter in between.  A
 frame becomes visible only when the tail advances past it, so the reader
 always sees whole frames.  An earlier draft guarded both sides with one
 ``multiprocessing.Condition``; on a busy exchange that one semaphore is
@@ -201,15 +205,14 @@ def frame_name(kind: int) -> str:
 
 
 _FRAME = Struct("<BI")
-_U64 = Struct("<Q")
-_U32 = Struct("<I")
 
 #: State block layout: every field has exactly one writer, so no lock is
-#: needed — the counters are aligned 8-byte (or 4-byte) stores.
-_TAIL = 0  #: u64 monotonic bytes written (producer-owned)
-_HEAD = 8  #: u64 monotonic bytes consumed (consumer-owned)
-_PUT = 16  #: u32 frames written (producer-owned)
-_GOT = 20  #: u32 frames consumed (consumer-owned)
+#: needed — the counters are aligned 8-byte (or 4-byte) stores.  The
+#: counters are indices into the block viewed as ``"Q"`` / ``"I"`` items.
+_TAIL = 0  #: u64 at byte 0: monotonic bytes written (producer-owned)
+_HEAD = 1  #: u64 at byte 8: monotonic bytes consumed (consumer-owned)
+_PUT = 4  #: u32 at byte 16: frames written (producer-owned)
+_GOT = 5  #: u32 at byte 20: frames consumed (consumer-owned)
 _CLOSED = 24  #: one byte, set by either side, never cleared
 
 #: Data region starts past the (padded) state block.
@@ -260,8 +263,14 @@ class ShmRing:
             create=True, size=_DATA_START + capacity
         )
         self.name = self._shm.name
-        buf = self._shm.buf
-        buf[:_DATA_START] = bytes(_DATA_START)
+        self._shm.buf[:_DATA_START] = bytes(_DATA_START)
+        self._map_counters()
+
+    def _map_counters(self) -> None:
+        """Word-sized views of the state block (see the module docstring)."""
+        state = self._shm.buf[:_DATA_START]
+        self._q = state.cast("Q")
+        self._i = state.cast("I")
 
     def set_liveness(self, probe: Optional[Callable[[], bool]]) -> None:
         """Install a peer-liveness probe for this side's blocking loops.
@@ -283,10 +292,10 @@ class ShmRing:
     # ------------------------------------------------------------------
 
     def _tail(self) -> int:
-        return _U64.unpack_from(self._shm.buf, _TAIL)[0]
+        return self._q[_TAIL]
 
     def _head(self) -> int:
-        return _U64.unpack_from(self._shm.buf, _HEAD)[0]
+        return self._q[_HEAD]
 
     def _closed(self) -> bool:
         return self._shm.buf[_CLOSED] != 0
@@ -389,8 +398,8 @@ class ShmRing:
         self._write(tail, _FRAME.pack(kind, size))
         # Publish: the tail store makes the frame visible, so it comes
         # after every payload byte is in place.
-        _U32.pack_into(buf, _PUT, (_U32.unpack_from(buf, _PUT)[0] + 1) & 0xFFFFFFFF)
-        _U64.pack_into(buf, _TAIL, tail + need)
+        self._i[_PUT] = (self._i[_PUT] + 1) & 0xFFFFFFFF
+        self._q[_TAIL] = tail + need
         return True
 
     def put_pickle(
@@ -418,7 +427,10 @@ class ShmRing:
             time.perf_counter() + timeout if timeout is not None else None
         )
         spins, nap = 0, 0.0
-        while self._tail() == head:
+        capacity = self.capacity
+        # A tail outside [head, head + capacity] cannot have been
+        # published by this ring's producer; treat it as "not yet".
+        while not 0 < self._tail() - head <= capacity:
             # Closed-check after the emptiness check: frames written
             # before the close flag are still served.
             if buf[_CLOSED]:
@@ -433,7 +445,7 @@ class ShmRing:
                 if spins % _LIVENESS_EVERY == 0 and self._peer_dead():
                     # Re-check emptiness once: the peer may have published
                     # a final frame between the empty check and its death.
-                    if self._tail() != head:
+                    if 0 < self._tail() - head <= capacity:
                         break
                     raise PeerDeadError(
                         "ring producer process died with the ring empty"
@@ -443,8 +455,8 @@ class ShmRing:
             spins += 1
         kind, size = _FRAME.unpack(self._read(head, _FRAME.size))
         payload = self._read(head + _FRAME.size, size)
-        _U32.pack_into(buf, _GOT, (_U32.unpack_from(buf, _GOT)[0] + 1) & 0xFFFFFFFF)
-        _U64.pack_into(buf, _HEAD, head + _FRAME.size + size)
+        self._i[_GOT] = (self._i[_GOT] + 1) & 0xFFFFFFFF
+        self._q[_HEAD] = head + _FRAME.size + size
         return kind, payload
 
     def get_nowait(self) -> Optional[Tuple[int, bytes]]:
@@ -469,10 +481,8 @@ class ShmRing:
     @property
     def frames(self) -> int:
         """Whole frames currently buffered (the ring's queue depth)."""
-        buf = self._shm.buf
-        got = _U32.unpack_from(buf, _GOT)[0]
-        put = _U32.unpack_from(buf, _PUT)[0]
-        return (put - got) & 0xFFFFFFFF
+        got = self._i[_GOT]
+        return (self._i[_PUT] - got) & 0xFFFFFFFF
 
     @property
     def occupancy(self) -> float:
@@ -500,7 +510,13 @@ class ShmRing:
         # Liveness probes are per-process closures (the driver's probe
         # watches the worker and vice versa); never ship one across.
         state["liveness"] = None
+        # Views of this process's mapping; the copy maps its own.
+        del state["_q"], state["_i"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._map_counters()
 
     def child_deregister(self) -> None:
         """Worker-side startup hook: keep the child's resource tracker
@@ -517,6 +533,9 @@ class ShmRing:
 
     def detach(self) -> None:
         """Unmap the segment in this process (worker exit)."""
+        # The mapping cannot close while views of it are exported.
+        self._q.release()
+        self._i.release()
         try:
             self._shm.close()
         except Exception:  # pragma: no cover - double close on teardown

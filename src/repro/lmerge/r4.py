@@ -16,7 +16,10 @@ propagating punctuation:
   (``AdjustOutput``), achieved by retiming previously output events.
 
 Complexities (Table IV): insert/adjust O(lg w + lg d); stable
-O(c lg w + h*d); space O(w (p + s*d)).
+O(c lg w + h*d); space O(w (p + s*d)).  The ``h*d`` term is the walk over
+the half-frozen keys; here the walk still touches each of the *h* nodes
+but redoes the ``d`` work only for nodes that changed since the freezing
+stream last reconciled them (see :meth:`LMergeR4._stable`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.structures.in2t import OUTPUT
 from repro.structures.in3t import In3T, In3TNode
 from repro.temporal.elements import Adjust, Insert
 from repro.temporal.tdb import StreamViolationError
-from repro.temporal.time import Timestamp
+from repro.temporal.time import MINUS_INFINITY, Timestamp
 
 
 class LMergeR4(LMergeBase):
@@ -49,6 +52,9 @@ class LMergeR4(LMergeBase):
         #: reclamation enabled, resolved spilled runs are not scanned and
         #: do not count here.
         self.stable_scan_nodes = 0
+        #: The scanned nodes that had to be reconciled against the
+        #: freezing input; the rest were known to have nothing to do.
+        self.stable_reconciled_nodes = 0
         self._setup_spill(self._index)
 
     # ------------------------------------------------------------------
@@ -56,16 +62,18 @@ class LMergeR4(LMergeBase):
     # ------------------------------------------------------------------
 
     def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        node = self._index.find(element.vs, element.payload)
-        if node is None:
-            if element.vs < self.max_stable:
+        if element.vs < self.max_stable:
+            # Keys behind MaxStable must not be materialized, and can
+            # never reach the output (the Vs >= MaxStable guard of line 8).
+            node = self._index.find(element.vs, element.payload)
+            if node is None:
                 self.dropped_frozen += 1
-                return
-            node = self._index.add(element.vs, element.payload)
+            else:
+                node.increment(stream_id, element.ve)
+            return
+        node = self._index.find_or_add(element)
         node.increment(stream_id, element.ve)
-        if element.vs >= self.max_stable and (
-            node.total_count(stream_id) > node.total_count(OUTPUT)
-        ):
+        if node.total_count(stream_id) > node.total_count(OUTPUT):
             # This input now holds more events for the key than we have
             # output — the new event is not a duplicate of anything the
             # output already carries.
@@ -130,6 +138,18 @@ class LMergeR4(LMergeBase):
     # ------------------------------------------------------------------
 
     def _stable(self, t: Timestamp, stream_id: StreamId) -> None:
+        """Reconcile every half-frozen key with *stream_id*, then punctuate.
+
+        The walk visits all nodes with ``Vs < t``; what it does per node
+        is split in two.  The *reconcile* half (``AdjustOutputCount`` /
+        ``AdjustOutput`` / retire) depends only on the node's own counts
+        and *t*, so a visit that kept the node records on it how far *t*
+        may advance before the answer can change, and later visits below
+        that bound skip it.  The *settle* half (prune / spill candidate)
+        also depends on the attached inputs, their guarantees and the
+        settle lag, so it runs on every visit — from the node's cached
+        agreement, which like the bound is forgotten when the node mutates.
+        """
         if t <= self.max_stable:
             return
         spiller = self._spiller
@@ -148,6 +168,7 @@ class LMergeR4(LMergeBase):
         # transition test below reads the same value the seed loop would.
         max_stable_before = self.max_stable
         scanned = 0
+        reconciled = 0
         pruned = 0
         #: run id -> [min settle-Ve, max settle-Ve, covered streams], or
         #: None once a non-agreed node poisons the run.
@@ -155,16 +176,21 @@ class LMergeR4(LMergeBase):
         inputs = self._inputs
 
         def visit(node: In3TNode) -> bool:
-            nonlocal scanned, pruned
+            nonlocal scanned, reconciled, pruned
             scanned += 1
-            if (
+            known = node.reconciled
+            if known is not None and t <= known.get(stream_id, MINUS_INFINITY):
+                pass
+            elif (
                 node.total_count(stream_id) == 0
                 and node.max_ve(OUTPUT) < guarantee
             ):
                 # A late joiner is silent about history entirely before
                 # its guarantee point; other inputs will freeze this key.
+                # Not recorded: the answer also depends on the guarantee.
                 pass
             else:
+                reconciled += 1
                 if node.vs >= max_stable_before:
                     # The key is transitioning unfrozen -> half frozen now:
                     # pin the output's event *count* to the freezing input's.
@@ -174,32 +200,29 @@ class LMergeR4(LMergeBase):
                     # Every version on the freezing input is now fully
                     # frozen and mirrored on the output; retire the key.
                     return False
+                self._note_reconciled(node, t, stream_id)
             if not prune_settled and candidates is None:
                 return True
-            agreement = self._agreement(node)
-            agreed = agreement is not None
-            if agreed and prune_settled and node.vs < prune_bound:
-                out_pairs, covered_here = agreement
-                max_out = out_pairs[-1][0]
-                settled = True
+            agreement = node.agreement
+            if agreement is None:
+                agreement = node.agreement = self._agreement(node)
+            if agreement and prune_settled and node.vs < prune_bound:
+                _, max_out, covered_here = agreement
                 for sid, st in inputs.items():
                     if sid not in covered_here and not (
                         max_out < st.guarantee_from
                     ):
-                        settled = False
                         break
-                if settled:
+                else:
                     pruned += 1
                     return False
             if candidates is not None:
                 run = spiller.run_of(node.vs)
                 if run is not None and spiller.run_bounds(run)[1] <= t:
-                    if not agreed:
+                    if not agreement:
                         candidates[run] = None
                     else:
-                        out_pairs, covered_here = agreement
-                        min_out = out_pairs[0][0]
-                        max_out = out_pairs[-1][0]
+                        min_out, max_out, covered_here = agreement
                         meta = candidates.get(run, False)
                         if meta is False:
                             candidates[run] = [
@@ -215,32 +238,62 @@ class LMergeR4(LMergeBase):
 
         self._index.prune_below(t, visit)
         self.stable_scan_nodes += scanned
+        self.stable_reconciled_nodes += reconciled
         self.pruned_nodes += pruned
         self._output_stable(t)
         if candidates:
             spiller.evict(self._index, candidates)
 
-    def _agreement(self, node: In3TNode):
-        """``(out_pairs, covered_streams)`` when every nonempty per-stream
-        multiset equals the output's, else None.
+    @staticmethod
+    def _note_reconciled(
+        node: In3TNode, t: Timestamp, stream_id: StreamId
+    ) -> None:
+        """Record that *node* is reconciled with *stream_id* up to *t*.
+
+        The node survived, so nothing on the freezing input's or the
+        output's tier below *t* disagrees and the input holds a version at
+        or past *t*.  A later ``stable(t')`` constrains exactly the
+        versions below *t'*: until *t'* passes the smallest version at or
+        past *t* on either tier, that set is the one just reconciled, the
+        key is past its half-freeze transition, and the input's largest
+        version still survives — nothing to do.  Any mutation of the node
+        drops the record (:class:`~repro.structures.in3t.In3TNode`).
+        """
+        counts = node.counts
+        bound = min(
+            ve
+            for tier in (counts[stream_id], counts.get(OUTPUT, ()))
+            for ve, _ in tier
+            if ve >= t
+        )
+        known = node.reconciled
+        if known is None:
+            node.reconciled = {stream_id: bound}
+        else:
+            known[stream_id] = bound
+
+    @staticmethod
+    def _agreement(node: In3TNode) -> tuple:
+        """``(min_out, max_out, covered_streams)`` when every nonempty
+        per-stream multiset equals the output's, else ``()``.
 
         Such a node is *output-agreed*: a stable() from a covered stream
         reconciles to a no-op (all versions unfrozen) or a silent delete
         (all versions frozen) — the basis of both settled pruning and the
         spill's per-run summary.
         """
-        out_tier = node.counts.get(OUTPUT)
-        if out_tier is None or not out_tier:
-            return None
-        out_pairs = list(out_tier.items())
+        counts = node.counts
+        out_tier = counts.get(OUTPUT)
+        if not out_tier:
+            return ()
         covered = []
-        for sid, tier in node.counts.items():
+        for sid, tier in counts.items():
             if sid is OUTPUT or not tier:
                 continue
-            if len(tier) != len(out_tier) or list(tier.items()) != out_pairs:
-                return None
+            if tier != out_tier:
+                return ()
             covered.append(sid)
-        return out_pairs, covered
+        return out_tier[0][0], out_tier[-1][0], tuple(covered)
 
     # ------------------------------------------------------------------
     # AdjustOutputCount: equalize totals at the half-freeze transition
@@ -384,6 +437,7 @@ class LMergeR4(LMergeBase):
             "index": self._index.snapshot(),
             "dropped_frozen": self.dropped_frozen,
             "stable_scan_nodes": self.stable_scan_nodes,
+            "stable_reconciled_nodes": self.stable_reconciled_nodes,
             "pruned_nodes": self.pruned_nodes,
         }
 
@@ -391,6 +445,7 @@ class LMergeR4(LMergeBase):
         self._index.restore(extra["index"])
         self.dropped_frozen = extra["dropped_frozen"]
         self.stable_scan_nodes = extra["stable_scan_nodes"]
+        self.stable_reconciled_nodes = extra.get("stable_reconciled_nodes", 0)
         self.pruned_nodes = extra.get("pruned_nodes", 0)
 
     @property

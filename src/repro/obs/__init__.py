@@ -29,13 +29,14 @@ so the uninstrumented hot paths stay within the 5% budget asserted by
 ``bench_hotpath``.  See docs/OBSERVABILITY.md.
 """
 
+from typing import TYPE_CHECKING
+
 from repro.obs.export import (
     RunReport,
     instrument_value,
     prometheus_text,
     write_jsonl,
 )
-from repro.obs.http import MetricsServer
 from repro.obs.lmerge_obs import (
     LMergeObserver,
     ShardObserver,
@@ -58,6 +59,22 @@ from repro.obs.telemetry import (
     trace_shard,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, RingTracer
+
+if TYPE_CHECKING:  # pragma: no cover - served lazily below
+    from repro.obs.http import MetricsServer
+
+
+def __getattr__(name: str):
+    # PEP 562: ``repro.obs.http`` pulls in http.server, ssl, email and
+    # socketserver (~3 MiB resident).  Every ``import repro.lmerge``
+    # reaches this package, and forked shard workers inherit the pages,
+    # so the HTTP endpoint loads on first use instead.
+    if name == "MetricsServer":
+        from repro.obs.http import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MetricRegistry",

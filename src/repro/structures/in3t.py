@@ -3,19 +3,38 @@
 Same top tier as in2t — a red-black tree keyed on ``(Vs, payload)`` — but
 under R4 many events can share a ``(Vs, payload)`` with different Ve
 values, and exact duplicates may occur.  So each second-tier hash entry
-holds, instead of a single Ve, a small red-black tree mapping ``Ve ->
-count``.  The output's multiset is tracked under the sentinel key
+holds, instead of a single Ve, a third tier mapping ``Ve -> count``.  The
+output's multiset is tracked under the sentinel key
 :data:`~repro.structures.in2t.OUTPUT`.
 
+The third tier holds *d* distinct Ve values per ``(key, stream)`` and *d*
+is one or two in practice (an event and its revision), so it is a flat
+Ve-ordered pair list (:class:`VeTier`) with its multiset size maintained
+alongside, not a tree per stream.  :meth:`In3TNode.memory_bytes` still
+prices the paper's ordered-tree third tier (Table IV's space model).
+
+Each node also carries what the last ``stable()`` visit learned about it
+(:attr:`In3TNode.reconciled`, :attr:`In3TNode.agreement`); every
+mutation forgets both, so LMR4 redoes per-node work only for nodes that
+changed (see docs/ALGORITHMS.md).
+
 Reclamation (PR 8): :meth:`In3T.prune_below` bulk-retires a settled
-prefix in one tree walk, recycling the counts dicts and Ve-tier trees
-through freelists; :meth:`In3T.enable_spill` attaches a
+prefix in one tree walk, recycling the counts dicts through a freelist;
+:meth:`In3T.enable_spill` attaches a
 :class:`~repro.structures.spill.RunSpill` for cold, output-agreed runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.structures.in2t import OUTPUT, StreamId, _KeyFloor
 from repro.structures.pool import FreeList
@@ -37,36 +56,69 @@ _KEY_FLOOR = _KeyFloor()
 
 #: Freelist of second-tier counts dicts (stream id -> Ve tier).
 _COUNT_DICTS = FreeList(dict, dict.clear)
-#: Freelist of third-tier Ve -> count trees; clearing one also returns its
-#: rbtree nodes to the shared node pool.
-_VE_TIERS = FreeList(RedBlackTree, RedBlackTree.clear)
+
+
+class VeTier(list):
+    """The third tier: Ve-ordered ``(Ve, count)`` pairs for one stream.
+
+    A plain sorted list — with one or two entries a scan beats any tree,
+    the order the readers want is the storage order, and it is already
+    the snapshot record's shape.  ``total`` is the multiset's size,
+    maintained by :meth:`In3TNode.increment` / :meth:`In3TNode.decrement`
+    (the only writers) so ``GetCount`` is a field read.
+    """
+
+    __slots__ = ("total",)
+
+    def __init__(self, pairs: Sequence[Tuple[Timestamp, int]], total: int):
+        # From a sized iterable the list is allocated exactly; growing an
+        # empty one by append reserves four slots for the usual single pair.
+        super().__init__(pairs)
+        self.total = total
 
 
 class In3TNode:
     """One top-tier node: per-stream multisets of Ve values.
 
-    ``counts[stream]`` is a red-black tree of ``Ve -> count`` describing the
-    multiset of events with this node's ``(Vs, payload)`` currently in that
-    stream's TDB (OUTPUT for the merge output).
+    ``counts[stream]`` is a :class:`VeTier` describing the multiset of
+    events with this node's ``(Vs, payload)`` currently in that stream's
+    TDB (OUTPUT for the merge output).
     """
 
-    __slots__ = ("vs", "payload", "counts", "_key")
+    __slots__ = ("vs", "payload", "counts", "_key", "reconciled", "agreement")
 
     def __init__(self, vs: Timestamp, payload: Payload, key: tuple):
         self.vs = vs
         self.payload = payload
-        self.counts: Dict[StreamId, RedBlackTree] = _COUNT_DICTS.acquire()
+        self.counts: Dict[StreamId, VeTier] = _COUNT_DICTS.acquire()
         self._key = key
+        #: ``{stream: bound}``: a ``stable(t)`` from *stream* finds nothing
+        #: to reconcile here while ``t <= bound`` (written by LMR4's
+        #: stable visit, forgotten on any mutation).
+        self.reconciled: Optional[Dict[StreamId, Timestamp]] = None
+        #: LMR4's cached output-agreement verdict for the current counts
+        #: (None = not computed since the last mutation).
+        self.agreement: Optional[tuple] = None
 
     # -- multiset maintenance -------------------------------------------
 
     def increment(self, stream: StreamId, ve: Timestamp, by: int = 1) -> None:
         """``IncrementCount``: add *by* events ``<payload, vs, ve)``."""
+        self.reconciled = self.agreement = None
         tier = self.counts.get(stream)
         if tier is None:
-            tier = _VE_TIERS.acquire()
-            self.counts[stream] = tier
-        tier.insert(ve, tier.get(ve, 0) + by)
+            self.counts[stream] = VeTier(((ve, by),), by)
+            return
+        for i, (held, count) in enumerate(tier):
+            if held == ve:
+                tier[i] = (ve, count + by)
+                break
+            if held > ve:
+                tier.insert(i, (ve, by))
+                break
+        else:
+            tier.append((ve, by))
+        tier.total += by
 
     def decrement(self, stream: StreamId, ve: Timestamp, by: int = 1) -> None:
         """``DecrementCount``: remove *by* events ``<payload, vs, ve)``.
@@ -74,42 +126,46 @@ class In3TNode:
         Raises KeyError when the multiset does not contain them — that
         indicates an input violated mutual consistency.
         """
-        tier = self.counts.get(stream)
-        current = tier.get(ve, 0) if tier is not None else 0
-        if current < by:
+        tier = self.counts.get(stream, ())
+        at = count = 0
+        for i, (held, held_count) in enumerate(tier):
+            if held == ve:
+                at, count = i, held_count
+                break
+        if count < by:
             raise KeyError(
-                f"stream {stream!r} has {current} events "
+                f"stream {stream!r} has {count} events "
                 f"<{self.payload!r},{self.vs},{ve}); cannot remove {by}"
             )
-        if current == by:
-            tier.delete(ve)
+        if count == by:
+            del tier[at]
         else:
-            tier.insert(ve, current - by)
+            tier[at] = (ve, count - by)
+        tier.total -= by
+        self.reconciled = self.agreement = None
 
     # -- queries ---------------------------------------------------------
 
     def total_count(self, stream: StreamId) -> int:
         """``GetCount``: total events for this ``(Vs, payload)`` on *stream*."""
         tier = self.counts.get(stream)
-        return sum(tier.values()) if tier is not None else 0
+        return tier.total if tier is not None else 0
 
     def count_of(self, stream: StreamId, ve: Timestamp) -> int:
         """Events with exactly this Ve on *stream*."""
-        tier = self.counts.get(stream)
-        return tier.get(ve, 0) if tier is not None else 0
+        for held, count in self.counts.get(stream, ()):
+            if held == ve:
+                return count
+        return 0
 
     def ve_counts(self, stream: StreamId) -> List[Tuple[Timestamp, int]]:
         """``FindAllVe``: ``(Ve, count)`` pairs for *stream*, Ve-ordered."""
-        tier = self.counts.get(stream)
-        return list(tier.items()) if tier is not None else []
+        return list(self.counts.get(stream, ()))
 
     def max_ve(self, stream: StreamId) -> Timestamp:
         """``GetMaxVe``: largest Ve on *stream*, ``-inf`` when none."""
         tier = self.counts.get(stream)
-        if tier is None or not tier:
-            return MINUS_INFINITY
-        ve, _ = tier.max_item()
-        return ve
+        return tier[-1][0] if tier else MINUS_INFINITY
 
     def streams(self) -> Iterator[StreamId]:
         """Stream ids (including OUTPUT) with at least one event here."""
@@ -120,6 +176,7 @@ class In3TNode:
     def remove_stream(self, stream: StreamId) -> None:
         """Drop all state for *stream* (input detach)."""
         self.counts.pop(stream, None)
+        self.reconciled = self.agreement = None
 
     def is_empty(self) -> bool:
         return all(not tier for tier in self.counts.values())
@@ -132,10 +189,13 @@ class In3TNode:
         return total
 
     def __repr__(self) -> str:  # pragma: no cover
-        counts = {
-            str(stream): dict(tier.items()) for stream, tier in self.counts.items()
-        }
+        counts = {str(stream): dict(tier) for stream, tier in self.counts.items()}
         return f"In3TNode(vs={self.vs}, payload={self.payload!r}, counts={counts})"
+
+
+def _recycle(node: In3TNode) -> None:
+    """Return a node leaving the index for good to the freelist."""
+    _COUNT_DICTS.release(node.counts)
 
 
 class In3T:
@@ -223,19 +283,11 @@ class In3T:
 
         ``keep(node)`` returning True retains a node; it runs before any
         tree mutation, so it may reconcile/emit but must not touch the
-        index.  Deleted nodes return their Ve tiers and counts dicts to
-        the freelists (callers must not retain references to them).
+        index.  Deleted nodes return their counts dicts to the freelist
+        (callers must not retain references to them).
 
         Returns the number of nodes removed.
         """
-        release_dict = _COUNT_DICTS.release
-        release_tier = _VE_TIERS.release
-
-        def _recycle(node: In3TNode) -> None:
-            for tier in node.counts.values():
-                release_tier(tier)
-            release_dict(node.counts)
-
         if keep is None:
             return self._tree.delete_below(
                 (t, _KEY_FLOOR), on_delete=_recycle
@@ -277,25 +329,20 @@ class In3T:
         return (
             node.vs,
             node.payload,
-            {
-                stream: list(tier.items())
-                for stream, tier in node.counts.items()
-            },
+            {stream: list(tier) for stream, tier in node.counts.items()},
         )
 
     def _extract_records(self, lo: Timestamp, hi: Timestamp) -> List[tuple]:
         """Remove nodes with ``lo <= Vs < hi``; return them as records.
 
-        The extracted nodes' tiers and counts dicts go back to the
-        freelists — the records carry plain lists/dicts instead.
+        The extracted nodes' counts dicts go back to the freelist — the
+        records carry plain lists/dicts instead.
         """
         pairs = self._tree.extract_range((lo, _KEY_FLOOR), (hi, _KEY_FLOOR))
         records = []
         for _, node in pairs:
             records.append(self._to_record(node))
-            for tier in node.counts.values():
-                _VE_TIERS.release(tier)
-            _COUNT_DICTS.release(node.counts)
+            _recycle(node)
         return records
 
     def _insert_records(self, records: List[tuple]) -> None:
@@ -304,10 +351,9 @@ class In3T:
             key = self._key(vs, payload)
             node = In3TNode(vs, payload, key)
             for stream, pairs in counts.items():
-                tier = _VE_TIERS.acquire()
-                for ve, count in pairs:
-                    tier.insert(ve, count)
-                node.counts[stream] = tier
+                node.counts[stream] = VeTier(
+                    pairs, sum(count for _, count in pairs)
+                )
             if not self._tree.insert(key, node):
                 raise KeyError(
                     f"in3t record collides with resident node: "

@@ -133,3 +133,29 @@ class TestTopRenderer:
         )
         assert status == 1
         assert "cannot scrape" in buffer.getvalue()
+
+
+def test_merge_import_does_not_load_the_http_stack():
+    # Every process that merges (shard workers included) imports
+    # repro.lmerge; the endpoint's stdlib dependencies load on first use.
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.lmerge import LMergeR4, shard\n"
+        "loaded = [m for m in ('http.server', 'ssl', 'email') "
+        "if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import repro.obs\n"
+        "assert repro.obs.MetricsServer.__module__ == 'repro.obs.http'\n"
+        "assert 'http.server' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -90,6 +90,7 @@ def test_replica_matches_shipped_output():
     assert shipped.stats.inserts_out == replica.stats.inserts_out
 
 
+@pytest.mark.timing
 @pytest.mark.skipif(
     available_cores() < 2,
     reason="timing budget needs an unloaded core; host has <2",
@@ -227,6 +228,7 @@ def test_telemetry_enabled_output_equivalent():
     assert enabled.tdb() == disabled.tdb() == reference.tdb()
 
 
+@pytest.mark.timing
 @pytest.mark.skipif(
     available_cores() < 2,
     reason="timing budget needs an unloaded core; host has <2",

@@ -6,6 +6,7 @@ operation sequences driven by hypothesis.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,45 +70,77 @@ def test_in2t_matches_dict_model(ops):
             assert node.get_entry(stream) == ve
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["inc", "dec", "query"]),
+            st.sampled_from(["inc", "inc", "dec", "drop", "query"]),
             st.integers(0, 4),   # vs
             st.integers(0, 2),   # payload id
             st.integers(0, 2),   # stream id
             st.integers(1, 8),   # ve offset
+            st.integers(1, 3),   # how many copies
         ),
         max_size=80,
     )
 )
 def test_in3t_matches_counter_model(ops):
+    """The flat third tier against a plain ``{ve: count}`` model: counts,
+    the maintained total, Ve order, and that every mutation forgets the
+    verdicts LMR4 caches on the node."""
     from collections import Counter
 
     index = In3T()
     model = {}  # (vs, payload) -> {stream: Counter(ve)}
-    for op, vs, payload_id, stream, offset in ops:
+    for op, vs, payload_id, stream, offset, copies in ops:
         payload = f"p{payload_id}"
         key = (vs, payload)
         ve = vs + offset
         if op == "inc":
             node = index.find_or_add(Event(vs, payload, ve))
-            node.increment(stream, ve)
-            model.setdefault(key, {}).setdefault(stream, Counter())[ve] += 1
-        elif op == "dec":
-            counters = model.get(key, {}).get(stream)
-            if counters and counters[ve] > 0:
-                index.find(vs, payload).decrement(stream, ve)
-                counters[ve] -= 1
+            node.reconciled, node.agreement = {stream: ve}, ()
+            node.increment(stream, ve, copies)
+            assert node.reconciled is None and node.agreement is None
+            model.setdefault(key, {}).setdefault(stream, Counter())[ve] += copies
+        elif op == "dec" and key in model:
+            node = index.find(vs, payload)
+            counters = model[key].get(stream, Counter())
+            node.reconciled, node.agreement = {stream: ve}, ()
+            if counters[ve] >= copies:
+                node.decrement(stream, ve, copies)
+                counters[ve] -= copies
+                assert node.reconciled is None and node.agreement is None
+            else:
+                with pytest.raises(KeyError):
+                    node.decrement(stream, ve, copies)
+        elif op == "drop" and stream in model.get(key, {}):
+            node = index.find(vs, payload)
+            node.reconciled, node.agreement = {stream: ve}, ()
+            node.remove_stream(stream)
+            assert node.reconciled is None and node.agreement is None
+            del model[key][stream]
         elif op == "query" and key in model:
             node = index.find(vs, payload)
+            live_streams = []
             for sid, counters in model[key].items():
                 live = +counters
                 assert node.total_count(sid) == sum(live.values())
                 assert node.ve_counts(sid) == sorted(live.items())
+                assert node.count_of(sid, ve) == live[ve]
+                assert node.max_ve(sid) == max(live, default=-INFINITY)
                 if live:
-                    assert node.max_ve(sid) == max(live)
+                    live_streams.append(sid)
+            assert sorted(node.streams()) == sorted(live_streams)
+            assert node.is_empty() == (not live_streams)
+    # The snapshot record is the model, Ve-ordered, emptied tiers included.
+    assert index.snapshot() == [
+        (
+            vs,
+            payload,
+            {sid: sorted((+c).items()) for sid, c in model[(vs, payload)].items()},
+        )
+        for vs, payload in sorted(model)
+    ]
 
 
 @settings(max_examples=30, deadline=None)
