@@ -160,6 +160,26 @@ class _InputState:
     leaving: bool = False
 
 
+class _VsColumn:
+    """The Vs column of a run of element objects, read on demand.
+
+    Lets ``bisect`` search a run by ``Vs`` with O(lg b) element reads
+    (``bisect(..., key=)`` needs Python 3.10).  The ordered variants'
+    insert kernels take either this or a ``ColumnBatch.vs`` memoryview.
+    """
+
+    __slots__ = ("_run",)
+
+    def __init__(self, run: Sequence[Insert]):
+        self._run = run
+
+    def __len__(self) -> int:
+        return len(self._run)
+
+    def __getitem__(self, index: int) -> Timestamp:
+        return self._run[index].vs
+
+
 class LMergeBase:
     """Abstract LMerge operator.
 
@@ -398,7 +418,11 @@ class LMergeBase:
         grouped into runs of the same class and dispatched through a
         type-keyed table (no ``isinstance`` chain), statistics are updated
         once per run, and subclasses install run-level fast paths
-        (:meth:`_insert_batch` overrides in R0-R4).
+        (:meth:`_insert_batch` overrides in R0-R4).  The equivalence
+        holds for inputs that satisfy the variant's restriction: R0-R2
+        decide a Vs-ordered run by zone, so which elements of an
+        *unordered* run they drop differs from :meth:`process` (see
+        docs/ALGORITHMS.md, "Batched execution").
 
         With ``coalesce_stables=True``, a run of consecutive ``stable()``
         elements triggers a *single* frontier advance to the run's maximum
@@ -525,8 +549,8 @@ class LMergeBase:
         and dispatched to ``_insert_columns``/``_adjust_columns``/
         ``_stable_columns``.  The default handlers materialize the run
         and delegate to the batched object path, so every variant
-        accepts columns; LMR1 and LMR3+ override ``_insert_columns``
-        with loop-hoisted fast paths that walk the columns directly and
+        accepts columns; LMR0-2 and LMR3+ override ``_insert_columns``
+        with fast paths that work on the columns directly and
         materialize only the rows they emit.  Output equivalence with
         :meth:`process_batch` over ``batch.to_elements()`` is asserted
         by the columnar property tests.

@@ -9,9 +9,10 @@ inputs.  O(1) time per element, O(1) space.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from bisect import bisect_right
+from typing import Sequence
 
-from repro.lmerge.base import LMergeBase, StreamId, _InputState
+from repro.lmerge.base import LMergeBase, StreamId, _InputState, _VsColumn
 from repro.streams.properties import Restriction
 from repro.temporal.elements import Adjust, Insert
 from repro.temporal.time import MINUS_INFINITY, Timestamp
@@ -34,6 +35,23 @@ class LMergeR0(LMergeBase):
             self._max_vs = element.vs
             self._output_insert(element.payload, element.vs, element.ve)
 
+    def _admit(self, vss, lo: int, hi: int, rows) -> None:
+        """Algorithm R0 over the Vs-ordered run ``vss[lo:hi]``: everything
+        past MaxVs is new and is emitted as ``rows(first, hi)``; what
+        precedes it replicates elements already output.
+
+        Input elements are re-emitted as-is (an insert the filter passes
+        is value-equal to what _output_insert would construct).
+        """
+        self.stats.inserts_in += hi - lo
+        last = vss[hi - 1]
+        if last <= self._max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        first = bisect_right(vss, self._max_vs, lo, hi)
+        self._max_vs = last
+        self.stats.inserts_out += hi - first
+        self._emit_batch(rows(first, hi))
+
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -41,21 +59,17 @@ class LMergeR0(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path: one MaxVs register in a local, survivors collected
-        # and emitted in one extend.  Input elements are re-emitted as-is
-        # (an insert the filter passes is value-equal to what
-        # _output_insert would construct).
-        self.stats.inserts_in += len(run)
-        max_vs = self._max_vs
-        out: List[Insert] = []
-        for element in run:
-            if element.vs > max_vs:
-                max_vs = element.vs
-                out.append(element)
-        if out:
-            self._max_vs = max_vs
-            self.stats.inserts_out += len(out)
-            self._emit_batch(out)
+        self._admit(_VsColumn(run), 0, len(run), lambda a, b: run[a:b])
+
+    def _insert_columns(
+        self,
+        batch,
+        start: int,
+        stop: int,
+        stream_id: StreamId,
+        state: _InputState,
+    ) -> None:
+        self._admit(batch.vs, start, stop, batch.elements_slice)
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

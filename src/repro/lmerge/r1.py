@@ -11,9 +11,10 @@ O(s) time per insert (s = number of inputs), O(s) space.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Dict, Sequence
 
-from repro.lmerge.base import LMergeBase, StreamId, _InputState
+from repro.lmerge.base import LMergeBase, StreamId, _InputState, _VsColumn
 from repro.streams.properties import Restriction
 from repro.structures.sizing import HASH_ENTRY_OVERHEAD
 from repro.temporal.elements import Adjust, Insert
@@ -52,6 +53,42 @@ class LMergeR1(LMergeBase):
             self._output_insert(element.payload, element.vs, element.ve)
         self._same_vs_count[stream_id] = count + 1
 
+    def _admit(
+        self, vss, lo: int, hi: int, stream_id: StreamId, rows
+    ) -> None:
+        """Algorithm R1 over the Vs-ordered run ``vss[lo:hi]``: move MaxVs
+        and the counters as lines 4-10 would element by element, and emit
+        the new rows — always a suffix — as ``rows(first, hi)``.
+
+        Relative to MaxVs an ordered run is a stale prefix, a tie zone
+        (``Vs == MaxVs``) and a fresh suffix; two bisections find them.
+        """
+        self.stats.inserts_in += hi - lo
+        last = vss[hi - 1]
+        max_vs = self._max_vs
+        if last < max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        counts = self._same_vs_count
+        tie = bisect_left(vss, max_vs, lo, hi)
+        fresh = bisect_right(vss, max_vs, tie, hi)
+        first = fresh
+        if tie < fresh:
+            # Only this stream's counter moves inside the zone, so its
+            # k-th row is new iff own + k has caught the leading counter.
+            own = counts[stream_id]
+            first = min(tie + max(counts.values()) - own, fresh)
+            counts[stream_id] = own + fresh - tie
+        if fresh < hi:
+            # Every new Vs zeroes all counters, so the whole suffix is
+            # new and only its last Vs group is still being counted.
+            for key in counts:
+                counts[key] = 0
+            counts[stream_id] = hi - bisect_left(vss, last, fresh, hi)
+            self._max_vs = last
+        if first < hi:
+            self.stats.inserts_out += hi - first
+            self._emit_batch(rows(first, hi))
+
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -59,41 +96,9 @@ class LMergeR1(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path: within a sub-run sharing one Vs only *this* stream's
-        # counter moves, so the other streams' maximum is computed once
-        # per Vs instead of max(values()) per insert.  An element is new
-        # iff our counter has caught the others (count == overall max).
-        self.stats.inserts_in += len(run)
-        counts = self._same_vs_count
-        max_vs = self._max_vs
-        out: List[Insert] = []
-        i = 0
-        n = len(run)
-        while i < n:
-            element = run[i]
-            vs = element.vs
-            if vs < max_vs:
-                i += 1
-                continue
-            if vs > max_vs:
-                for key in counts:
-                    counts[key] = 0
-                max_vs = vs
-            own = counts[stream_id]
-            others_max = max(
-                (c for key, c in counts.items() if key != stream_id),
-                default=0,
-            )
-            while i < n and run[i].vs == vs:
-                if own >= others_max:
-                    out.append(run[i])
-                own += 1
-                i += 1
-            counts[stream_id] = own
-        self._max_vs = max_vs
-        if out:
-            self.stats.inserts_out += len(out)
-            self._emit_batch(out)
+        self._admit(
+            _VsColumn(run), 0, len(run), stream_id, lambda a, b: run[a:b]
+        )
 
     def _insert_columns(
         self,
@@ -103,42 +108,8 @@ class LMergeR1(LMergeBase):
         stream_id: StreamId,
         state: _InputState,
     ) -> None:
-        # Columnar fast path: one descent over the Vs column per sorted
-        # sub-run — the counters move exactly as in _insert_batch, but no
-        # element object is touched until a row survives for emission
-        # (survivors come out of the batch in one boundary conversion).
-        self.stats.inserts_in += stop - start
-        counts = self._same_vs_count
-        max_vs = self._max_vs
-        vs_col = batch.vs
-        emit_rows: List[int] = []
-        keep = emit_rows.append
-        i = start
-        while i < stop:
-            vs = vs_col[i]
-            if vs < max_vs:
-                i += 1
-                continue
-            if vs > max_vs:
-                for key in counts:
-                    counts[key] = 0
-                max_vs = vs
-            own = counts[stream_id]
-            others_max = max(
-                (c for key, c in counts.items() if key != stream_id),
-                default=0,
-            )
-            while i < stop and vs_col[i] == vs:
-                if own >= others_max:
-                    keep(i)
-                own += 1
-                i += 1
-            counts[stream_id] = own
-        self._max_vs = max_vs
-        if emit_rows:
-            self.stats.inserts_out += len(emit_rows)
-            element_at = batch.element_at
-            self._emit_batch([element_at(i) for i in emit_rows])
+        # Only surviving rows are materialised, in one boundary conversion.
+        self._admit(batch.vs, start, stop, stream_id, batch.elements_slice)
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

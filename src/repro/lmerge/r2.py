@@ -12,9 +12,10 @@ payload size).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Dict, Sequence
 
-from repro.lmerge.base import LMergeBase, StreamId, _InputState
+from repro.lmerge.base import LMergeBase, StreamId, _InputState, _VsColumn
 from repro.streams.properties import Restriction
 from repro.structures.sizing import HASH_ENTRY_OVERHEAD, payload_bytes
 from repro.temporal.elements import Adjust, Insert
@@ -37,6 +38,20 @@ class LMergeR2(LMergeBase):
         self._hash: Dict[Payload, int] = {}
         self._hash_bytes = 0
 
+    def _is_new(self, payload: Payload) -> bool:
+        """Record *payload* as output at the current MaxVs; False if it
+        already was.  An unhashable payload is keyed by ``PayloadKey``'s
+        ``(type name, repr)`` fallback, so R2 accepts what LMR3+ does."""
+        try:
+            if payload in self._hash:
+                return False
+        except TypeError:
+            return self._is_new((type(payload).__name__, repr(payload)))
+        size = payload_bytes(payload)
+        self._hash[payload] = size
+        self._hash_bytes += size
+        return True
+
     def _insert(self, element: Insert, stream_id: StreamId) -> None:
         # Algorithm R2, lines 4-10.
         if element.vs < self._max_vs:
@@ -45,11 +60,36 @@ class LMergeR2(LMergeBase):
             self._hash.clear()
             self._hash_bytes = 0
             self._max_vs = element.vs
-        if element.payload not in self._hash:
-            size = payload_bytes(element.payload)
-            self._hash[element.payload] = size
-            self._hash_bytes += size
+        if self._is_new(element.payload):
             self._output_insert(element.payload, element.vs, element.ve)
+
+    def _admit(self, vss, lo: int, hi: int, rows) -> None:
+        """Algorithm R2 over the Vs-ordered run ``vss[lo:hi]``, whose
+        elements ``rows(a, b)`` hands over: the tie zone (``Vs == MaxVs``)
+        is deduplicated through the hash; the fresh suffix is all new.
+
+        ``(Vs, payload)`` is a key, so a fresh suffix holds no duplicate;
+        each new Vs restarts the hash, which ends holding the last group.
+        """
+        self.stats.inserts_in += hi - lo
+        last = vss[hi - 1]
+        max_vs = self._max_vs
+        if last < max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        is_new = self._is_new
+        tie = bisect_left(vss, max_vs, lo, hi)
+        fresh = bisect_right(vss, max_vs, tie, hi)
+        out = [e for e in rows(tie, fresh) if is_new(e.payload)]
+        if fresh < hi:
+            self._hash.clear()
+            self._hash_bytes = 0
+            suffix = rows(fresh, hi)
+            for element in suffix[bisect_left(vss, last, fresh, hi) - fresh :]:
+                is_new(element.payload)
+            out += suffix
+            self._max_vs = last
+        self.stats.inserts_out += len(out)
+        self._emit_batch(out)
 
     def _insert_batch(
         self,
@@ -58,31 +98,17 @@ class LMergeR2(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path: hash/bytes/MaxVs in locals, one bulk emit.
-        self.stats.inserts_in += len(run)
-        seen = self._hash
-        max_vs = self._max_vs
-        hash_bytes = self._hash_bytes
-        out: List[Insert] = []
-        for element in run:
-            vs = element.vs
-            if vs < max_vs:
-                continue
-            if vs > max_vs:
-                seen.clear()
-                hash_bytes = 0
-                max_vs = vs
-            payload = element.payload
-            if payload not in seen:
-                size = payload_bytes(payload)
-                seen[payload] = size
-                hash_bytes += size
-                out.append(element)
-        self._max_vs = max_vs
-        self._hash_bytes = hash_bytes
-        if out:
-            self.stats.inserts_out += len(out)
-            self._emit_batch(out)
+        self._admit(_VsColumn(run), 0, len(run), lambda a, b: run[a:b])
+
+    def _insert_columns(
+        self,
+        batch,
+        start: int,
+        stop: int,
+        stream_id: StreamId,
+        state: _InputState,
+    ) -> None:
+        self._admit(batch.vs, start, stop, batch.elements_slice)
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

@@ -12,10 +12,16 @@ to *logical* (TDB) equivalence — intermediate punctuation is absorbed —
 so its tests assert TDB equality and a never-larger stable count instead.
 """
 
+import random
+from collections.abc import Sequence
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.checked import MergeCheck, PropertyViolationError
+from repro.engine.columnar import ColumnBatch
 from repro.engine.operator import CollectorSink
 from repro.engine.runtime import QueuedEdge, Runtime
 from repro.lmerge.base import interleave, interleave_batches
@@ -151,6 +157,257 @@ class TestExactEquivalence:
         bat = _run_batched(CountingMerge, chunks, 2)
         assert list(per.output) == list(bat.output)
         assert per.stats == bat.stats
+
+
+def _tie_heavy_replicas(name, seed, n):
+    """Legal replicas for variant *name* with many same-Vs groups (R0:
+    none — strictly increasing Vs is its restriction).  R2's replicas
+    order each same-Vs group differently."""
+    base = list(
+        StreamGenerator(
+            GeneratorConfig(
+                count=120,
+                seed=seed,
+                disorder=0.0,
+                min_gap=1 if name == "LMR0" else 0,
+                max_gap=1,
+                stable_freq=0.05,
+                payload_blob_bytes=2,
+                event_duration=40,
+            )
+        ).generate()
+    )
+    if name != "LMR2":
+        return [base] * n
+    replicas = []
+    for index in range(n):
+        rng = random.Random(seed * 7 + index)
+        replica = []
+        # Consecutive inserts sharing a Vs (a stable has none) may swap.
+        for _, group in groupby(base, key=lambda e: getattr(e, "vs", None)):
+            group = list(group)
+            rng.shuffle(group)
+            replica.extend(group)
+        replicas.append(replica)
+    return replicas
+
+
+def _kernel_script(replicas, batch_size, lag, attach_at, detach_at, snapshot_at):
+    """Deliveries of three replicas — the third trailing by *lag* batches —
+    plus a late-attached fourth that replays from the start, the leader's
+    detach, and a snapshot/restore, at the given fractions of the way."""
+    chunks = [
+        [r[i : i + batch_size] for i in range(0, len(r), batch_size)]
+        for r in replicas
+    ]
+    ops = []
+    for k in range(len(chunks[0]) + lag):
+        for sid in (0, 1):
+            if k < len(chunks[sid]):
+                ops.append(("batch", chunks[sid][k], sid))
+        if 0 <= k - lag < len(chunks[2]):
+            ops.append(("batch", chunks[2][k - lag], 2))
+    total = len(ops)
+    late = iter(chunks[3])
+    script = []
+    for index, op in enumerate(ops):
+        if index == int(attach_at * total):
+            script.append(("attach", 3))
+        if index == int(detach_at * total):
+            script.append(("detach", 0))
+        if index == int(snapshot_at * total):
+            script.append(("snapshot",))
+        script.append(op)
+        if index >= int(attach_at * total):
+            script.extend(("batch", chunk, 3) for _, chunk in zip(range(2), late))
+    return script
+
+
+def _kernel_state(merge):
+    return (
+        merge.stats,
+        merge.max_stable,
+        merge._max_vs,
+        getattr(merge, "_same_vs_count", None),
+        getattr(merge, "_hash", None),
+        getattr(merge, "_hash_bytes", None),
+    )
+
+
+class _CountingRun(Sequence):
+    """A run that counts the elements read from it (a slice reads its
+    length)."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        part = self.items[index]
+        self.reads += len(part) if isinstance(index, slice) else 1
+        return part
+
+
+class TestOrderedRunKernels:
+    """The R0-R2 insert kernels decide a run by zone (stale prefix, tie
+    zone, fresh suffix); every ingest path must still agree with
+    ``process`` element for element, state included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ORDERED_VARIANTS)),
+        seed=st.integers(0, 10**6),
+        batch_size=st.sampled_from([1, 2, 7, 64]),
+        lag=st.integers(0, 12),
+        attach_at=st.floats(0.0, 1.0),
+        detach_at=st.floats(0.0, 1.0),
+        snapshot_at=st.floats(0.0, 1.0),
+    )
+    def test_paths_agree_after_every_batch(
+        self, name, seed, batch_size, lag, attach_at, detach_at, snapshot_at
+    ):
+        cls = ORDERED_VARIANTS[name]
+        script = _kernel_script(
+            _tie_heavy_replicas(name, seed, 4),
+            batch_size, lag, attach_at, detach_at, snapshot_at,
+        )
+        feeds = {
+            "element": lambda m, chunk, sid: [m.process(e, sid) for e in chunk],
+            "batch": lambda m, chunk, sid: m.process_batch(chunk, sid),
+            # Wire-decoded, so the column walk (not the object path) runs.
+            "columns": lambda m, chunk, sid: m.process_columns(
+                ColumnBatch.decode(ColumnBatch.from_elements(chunk).encode()),
+                sid,
+            ),
+        }
+        outputs = {mode: [] for mode in feeds}
+        merges = {}
+        for mode in feeds:
+            merges[mode] = cls(sink=outputs[mode].append)
+            for sid in range(3):
+                merges[mode].attach(sid)
+        seen = 0
+        for op in script:
+            for mode, feed in feeds.items():
+                merge = merges[mode]
+                if op[0] == "batch":
+                    if merge.is_attached(op[2]):
+                        feed(merge, op[1], op[2])
+                elif op[0] == "snapshot":
+                    merges[mode] = cls(sink=outputs[mode].append)
+                    merges[mode].restore_state(merge.snapshot_state())
+                else:
+                    getattr(merge, op[0])(op[1])
+            reference = outputs["element"][seen:]
+            for mode in ("batch", "columns"):
+                assert outputs[mode][seen:] == reference, (mode, op)
+                assert _kernel_state(merges[mode]) == _kernel_state(
+                    merges["element"]
+                ), (mode, op)
+            seen = len(outputs["element"])
+        assert seen > 0
+
+    @pytest.mark.parametrize("name", sorted(ORDERED_VARIANTS))
+    def test_run_costs_its_decisions_not_its_elements(self, name):
+        """A wholly stale run is decided from its last element; a run
+        with a fresh suffix reads O(lg b) elements plus the suffix."""
+        size, suffix = 4097, 10
+        head = [Insert(("p", i), i, i + 5) for i in range(size)]
+        tail = [Insert(("p", i), i, i + 5) for i in range(size, size + suffix)]
+        for _ in range(2):  # the counts repeat exactly
+            merge = ORDERED_VARIANTS[name]()
+            merge.attach(0)
+            merge.attach(1)
+            merge.process_batch(head, 0)
+            state = merge._inputs[1]
+            stale = _CountingRun(head[:-1])  # 4,096 elements behind MaxVs
+            merge._insert_batch(stale, 1, state, False)
+            assert stale.reads <= 2
+            mixed = _CountingRun(head[suffix:] + tail)
+            merge._insert_batch(mixed, 1, state, False)
+            assert mixed.reads <= suffix + 4 * size.bit_length()
+            assert list(merge.output) == head + tail
+            assert merge.stats.inserts_in == 3 * size - 1
+
+    @pytest.mark.parametrize("name", sorted(ORDERED_VARIANTS))
+    def test_out_of_contract_runs_stay_safe(self, name):
+        """Unsorted runs break the restriction: the kernel must not raise
+        or invent output, and the frontier registers stay monotone — the
+        violation itself is named by the property checker, not by the
+        merge."""
+        rng = random.Random(20260926)
+        cls = ORDERED_VARIANTS[name]
+        for _ in range(50):
+            merge = cls()
+            delivered = [[], []]
+            everything = []
+            for sid in (0, 1):
+                merge.attach(sid)
+            for _ in range(12):
+                sid = rng.randrange(2)
+                run = [
+                    Insert((rng.randrange(4),), rng.randrange(60), 100)
+                    if rng.random() < 0.9
+                    else Stable(rng.randrange(60))
+                    for _ in range(rng.randrange(1, 20))
+                ]
+                before = (merge._max_vs, merge.max_stable)
+                merge.process_batch(run, sid)
+                assert merge._max_vs >= before[0]
+                assert merge.max_stable >= before[1]
+                delivered[sid].extend(run)
+                everything.extend(e for e in run if e.__class__ is Insert)
+            remaining = iter(everything)
+            for element in merge.output:
+                if element.__class__ is Insert:
+                    # Output is a subsequence of what was delivered.
+                    assert any(element is given for given in remaining)
+            check = MergeCheck.for_restriction(cls.restriction, 2)
+            with pytest.raises(PropertyViolationError):
+                for sid in (0, 1):
+                    check.wrap(sid, delivered[sid])
+
+    def test_r2_accepts_unhashable_payloads_like_r3(self):
+        """A dict payload used to abort LMR2's batch half-applied; it is
+        keyed by PayloadKey's (type name, repr) fallback instead."""
+        run = [
+            Insert({"a": 1}, 1, 5),
+            Insert({"a": 2}, 1, 5),
+            Insert({"b": 1}, 2, 6),
+            Stable(3),
+        ]
+        shuffled = [run[1], run[0], run[2], run[3]]
+        results = []
+        for cls, feed in (
+            (LMergeR2, "process_batch"),
+            (LMergeR2, "process"),
+            (LMergeR3, "process_batch"),
+        ):
+            merge = cls()
+            merge.attach(0)
+            merge.attach(1)
+            for sid, elements in ((0, run), (1, shuffled)):
+                if feed == "process":
+                    for element in elements:
+                        merge.process(element, sid)
+                else:
+                    merge.process_batch(elements, sid)
+            assert merge.stats.inserts_in == 6
+            assert merge.stats.inserts_out == 3
+            results.append(
+                (
+                    sorted(
+                        (e.vs, repr(e.payload), e.ve)
+                        for e in merge.output
+                        if e.__class__ is Insert
+                    ),
+                    merge.max_stable,
+                )
+            )
+        assert results[0] == results[1] == results[2]
 
 
 class TestCoalescedStables:
