@@ -4,7 +4,10 @@ Paper shape: raising StableFreq from 0.001% to 1% *decreases* memory for
 every variant (more frequent cleanup of frozen state) while *decreasing*
 throughput for the general algorithms LMR3+/LMR4 (each stable() triggers
 compatibility checks over the half-frozen region); the simple schemes'
-throughput is essentially unaffected.
+throughput is essentially unaffected.  LMR4 here departs from the paper
+on purpose: its stable() looks at what changed, not at the whole
+half-frozen region, so its scan work stops growing with the frequency
+(EXPERIMENTS.md, Fig. 6).
 """
 
 import statistics
@@ -88,14 +91,23 @@ def test_fig6_memory_and_throughput_series(report):
     assert memory_r3[-1] < memory_r3[0] / 2
     assert memory_r4[-1] < memory_r4[0] / 2
     # Paper shape 2: the general algorithms pay for frequent stables.
-    # The deterministic mechanism — nodes visited by per-stable
-    # reconciliation scans — grows with punctuation frequency (the
-    # wall-clock decline it causes in StreamInsight is muted here because
-    # Python per-element overhead dominates; the series above records it).
-    assert scans_r3[-1] > 2 * scans_r3[0]
-    assert scans_r4[-1] > 2 * scans_r4[0]
+    # The deterministic mechanism — nodes looked at by per-stable
+    # reconciliation — grows with punctuation frequency for LMR3+, which
+    # walks every half-frozen node on every stable (the wall-clock decline
+    # it causes in StreamInsight is muted here because Python per-element
+    # overhead dominates; the series above records it).
     report(f"  per-stable scan work (nodes), R3+: {scans_r3}")
     report(f"  per-stable scan work (nodes), R4:  {scans_r4}")
+    assert scans_r3[-1] > 2 * scans_r3[0]
+    # LMR4 looks only at nodes whose answer can have changed (its
+    # reconcile frontier): a key when it first half-freezes and again
+    # when a stable passes its end, plus once per revision in between —
+    # set by the events, not by how often punctuation arrives.  With one
+    # stable per run the two looks coincide, so the stated factor is 2: a
+    # thousandfold StableFreq costs LMR4 less than twice the looks
+    # (measured 1.90x; LMR3+ 4.73x and growing with the frequency).
+    assert scans_r4[-1] < 2 * scans_r4[0]
+    assert scans_r4[-1] * 2 < scans_r3[-1]
     # Paper shape 3: the simple scheme is essentially unaffected
     # (generous tolerance — wall-clock noise).
     assert throughput["R0"][-1] > 0.5 * throughput["R0"][0]

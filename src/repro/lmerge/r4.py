@@ -17,9 +17,9 @@ propagating punctuation:
 
 Complexities (Table IV): insert/adjust O(lg w + lg d); stable
 O(c lg w + h*d); space O(w (p + s*d)).  The ``h*d`` term is the walk over
-the half-frozen keys; here the walk still touches each of the *h* nodes
-but redoes the ``d`` work only for nodes that changed since the freezing
-stream last reconciled them (see :meth:`LMergeR4._stable`).
+the *h* half-frozen keys; here a stable looks only at the *Δ* of them
+whose answer can have changed since the freezing stream last reconciled
+them — ``Δ*d`` (see :meth:`LMergeR4._stable`).
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.lmerge.base import LMergeBase, StreamId, _InputState
 from repro.streams.properties import Restriction
+from repro.structures.frontier import Frontier
 from repro.structures.in2t import OUTPUT
 from repro.structures.in3t import In3T, In3TNode
 from repro.temporal.elements import Adjust, Insert
 from repro.temporal.tdb import StreamViolationError
-from repro.temporal.time import MINUS_INFINITY, Timestamp
+from repro.temporal.time import INFINITY, MINUS_INFINITY, Timestamp
 
 
 class LMergeR4(LMergeBase):
@@ -45,15 +46,18 @@ class LMergeR4(LMergeBase):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self._index = In3T()
+        #: Which nodes the next stable() of each input has to look at.
+        self._frontier = Frontier(self._index.touched)
         #: Inserts dropped because their key was already frozen out
         #: (the cheap path that speeds up merging lagging streams, Fig. 5).
         self.dropped_frozen = 0
-        #: Nodes visited by stable() reconciliation scans (Fig. 6).  With
-        #: reclamation enabled, resolved spilled runs are not scanned and
-        #: do not count here.
+        #: Nodes the stable() calls looked at (Fig. 6): those the frontier
+        #: handed out, not all that were half frozen.  With reclamation
+        #: enabled, resolved spilled runs are not looked at and do not
+        #: count here.
         self.stable_scan_nodes = 0
-        #: The scanned nodes that had to be reconciled against the
-        #: freezing input; the rest were known to have nothing to do.
+        #: The looked-at nodes that had to be reconciled against the
+        #: freezing input; the rest turned out to have nothing to do.
         self.stable_reconciled_nodes = 0
         self._setup_spill(self._index)
 
@@ -138,28 +142,37 @@ class LMergeR4(LMergeBase):
     # ------------------------------------------------------------------
 
     def _stable(self, t: Timestamp, stream_id: StreamId) -> None:
-        """Reconcile every half-frozen key with *stream_id*, then punctuate.
+        """Reconcile the half-frozen keys that need it with *stream_id*,
+        then punctuate.
 
-        The walk visits all nodes with ``Vs < t``; what it does per node
-        is split in two.  The *reconcile* half (``AdjustOutputCount`` /
-        ``AdjustOutput`` / retire) depends only on the node's own counts
-        and *t*, so a visit that kept the node records on it how far *t*
-        may advance before the answer can change, and later visits below
-        that bound skip it.  The *settle* half (prune / spill candidate)
-        also depends on the attached inputs, their guarantees and the
-        settle lag, so it runs on every visit — from the node's cached
-        agreement, which like the bound is forgotten when the node mutates.
+        What a stable does to a node with ``Vs < t`` is split in two.  The
+        *reconcile* half (``AdjustOutputCount`` / ``AdjustOutput`` /
+        retire) depends only on the node's own counts and *t*, so a visit
+        that kept the node records on it how far *t* may advance before
+        the answer can change.  The *settle* half (prune / spill
+        candidate) also depends on the attached inputs, their guarantees
+        and the settle lag; it reads the node's cached agreement, which
+        like the bound is forgotten when the node mutates.
+
+        Both halves are no-ops on a node that *stream_id* has walked past,
+        that has not mutated since, whose recorded bound *t* has not
+        passed and that was not waiting for the settle bound — so the
+        :class:`~repro.structures.frontier.Frontier` hands out the others
+        and only those are visited, in key order.  The visit is
+        idempotent: an extra node costs a look, never an output element.
         """
         if t <= self.max_stable:
             return
         spiller = self._spiller
+        index = self._index
+        frontier = self._frontier
         if spiller is not None:
             # Covered, fully-frozen spilled runs die in the store without
             # faulting in; anything the summary cannot vouch for is
             # re-materialized so the walk below sees the exact seed state.
-            self.pruned_nodes += spiller.resolve_stable(
-                self._index, t, stream_id
-            )
+            self.pruned_nodes += spiller.resolve_stable(index, t, stream_id)
+            # Spill candidates are whole runs: every node is due again.
+            frontier.reset(self._inputs)
         guarantee = self.guarantee_of(stream_id)
         rec = self.reclamation
         prune_settled = rec is not None and rec.prune_settled
@@ -174,13 +187,25 @@ class LMergeR4(LMergeBase):
         #: None once a non-agreed node poisons the run.
         candidates = {} if spiller is not None else None
         inputs = self._inputs
+        #: Visited nodes kept without a verdict for *stream_id*.
+        unresolved: List[In3TNode] = []
+        lo, early = frontier.open(stream_id, t, prune_bound)
 
         def visit(node: In3TNode) -> bool:
             nonlocal scanned, reconciled, pruned
             scanned += 1
             known = node.reconciled
-            if known is not None and t <= known.get(stream_id, MINUS_INFINITY):
-                pass
+            bound = (
+                MINUS_INFINITY
+                if known is None
+                else known.get(stream_id, MINUS_INFINITY)
+            )
+            if t <= bound:
+                # Still reconciled.  A node new to this stream's frontier
+                # carries the verdict from before a reset: its wake entry
+                # went with the old heaps.
+                if node.vs >= lo and bound < INFINITY:
+                    frontier.wake(stream_id, bound, node)
             elif (
                 node.total_count(stream_id) == 0
                 and node.max_ve(OUTPUT) < guarantee
@@ -188,7 +213,7 @@ class LMergeR4(LMergeBase):
                 # A late joiner is silent about history entirely before
                 # its guarantee point; other inputs will freeze this key.
                 # Not recorded: the answer also depends on the guarantee.
-                pass
+                unresolved.append(node)
             else:
                 reconciled += 1
                 if node.vs >= max_stable_before:
@@ -206,16 +231,21 @@ class LMergeR4(LMergeBase):
             agreement = node.agreement
             if agreement is None:
                 agreement = node.agreement = self._agreement(node)
-            if agreement and prune_settled and node.vs < prune_bound:
-                _, max_out, covered_here = agreement
-                for sid, st in inputs.items():
-                    if sid not in covered_here and not (
-                        max_out < st.guarantee_from
-                    ):
-                        break
+            if agreement and prune_settled:
+                if node.vs < prune_bound:
+                    _, max_out, covered_here = agreement
+                    for sid, st in inputs.items():
+                        if sid not in covered_here and not (
+                            max_out < st.guarantee_from
+                        ):
+                            break
+                    else:
+                        pruned += 1
+                        return False
                 else:
-                    pruned += 1
-                    return False
+                    # Too young to settle; look again when the bound
+                    # passes it, whoever walks then.
+                    frontier.park(node)
             if candidates is not None:
                 run = spiller.run_of(node.vs)
                 if run is not None and spiller.run_bounds(run)[1] <= t:
@@ -236,7 +266,15 @@ class LMergeR4(LMergeBase):
                             meta[2].intersection_update(covered_here)
             return True
 
-        self._index.prune_below(t, visit)
+        visited = early + index.nodes_between(lo, t)
+        doomed = [
+            node
+            for node in visited
+            # A wake entry can outlive its node; the dead are skipped.
+            if node.counts is not None and not visit(node)
+        ]
+        index.remove(doomed)
+        frontier.close(stream_id, t, visited, unresolved, doomed, len(index))
         self.stable_scan_nodes += scanned
         self.stable_reconciled_nodes += reconciled
         self.pruned_nodes += pruned
@@ -244,9 +282,8 @@ class LMergeR4(LMergeBase):
         if candidates:
             spiller.evict(self._index, candidates)
 
-    @staticmethod
     def _note_reconciled(
-        node: In3TNode, t: Timestamp, stream_id: StreamId
+        self, node: In3TNode, t: Timestamp, stream_id: StreamId
     ) -> None:
         """Record that *node* is reconciled with *stream_id* up to *t*.
 
@@ -258,6 +295,8 @@ class LMergeR4(LMergeBase):
         key is past its half-freeze transition, and the input's largest
         version still survives — nothing to do.  Any mutation of the node
         drops the record (:class:`~repro.structures.in3t.In3TNode`).
+        A finite bound goes on the stream's wake heap; an infinite one
+        could never pop.
         """
         counts = node.counts
         bound = min(
@@ -271,6 +310,8 @@ class LMergeR4(LMergeBase):
             node.reconciled = {stream_id: bound}
         else:
             known[stream_id] = bound
+        if bound < INFINITY:
+            self._frontier.wake(stream_id, bound, node)
 
     @staticmethod
     def _agreement(node: In3TNode) -> tuple:
@@ -349,6 +390,11 @@ class LMergeR4(LMergeBase):
     def _adjust_output(
         self, node: In3TNode, t: Timestamp, stream_id: StreamId
     ) -> None:
+        counts = node.counts
+        if counts.get(stream_id) == counts.get(OUTPUT):
+            # Equal tiers: nothing below t disagrees, and a dying key
+            # (every version below t) is mirrored whole.
+            return
         in_counts: Dict[Timestamp, int] = dict(node.ve_counts(stream_id))
         out_counts: Dict[Timestamp, int] = dict(node.ve_counts(OUTPUT))
         # When the freezing input holds no version surviving past t the
@@ -427,7 +473,15 @@ class LMergeR4(LMergeBase):
     # ------------------------------------------------------------------
 
     # Section V-B: per-stream counts of a left stream are never consulted
-    # again and retire with their nodes (see the R3 note).
+    # again and retire with their nodes (see the R3 note).  The roster and
+    # the guarantees feed the settle test, though, so a change to either
+    # can make a waiting node prunable with no mutation: all is due again.
+
+    def _on_attach(self, stream_id: StreamId) -> None:
+        self._frontier.reset(self._inputs)
+
+    def _on_detach(self, stream_id: StreamId) -> None:
+        self._frontier.reset(self._inputs)
 
     def memory_bytes(self) -> int:
         return 16 + self._index.memory_bytes()
@@ -443,6 +497,7 @@ class LMergeR4(LMergeBase):
 
     def _restore_extra(self, extra: dict) -> None:
         self._index.restore(extra["index"])
+        self._frontier.reset(self._inputs)
         self.dropped_frozen = extra["dropped_frozen"]
         self.stable_scan_nodes = extra["stable_scan_nodes"]
         self.stable_reconciled_nodes = extra.get("stable_reconciled_nodes", 0)

@@ -13,10 +13,18 @@ Ve-ordered pair list (:class:`VeTier`) with its multiset size maintained
 alongside, not a tree per stream.  :meth:`In3TNode.memory_bytes` still
 prices the paper's ordered-tree third tier (Table IV's space model).
 
+Order is needed only to walk a Vs range; *identity* — "the node for this
+``(Vs, payload)``" — is answered by a hash kept beside the tree
+(:attr:`In3T._nodes`): a hit, and a miss on a Vs no resident node has,
+never descend.  Any other miss asks the tree, which stays the authority
+on what equals what (its ``==``-and-order test accepts payloads no hash
+can: unhashable ones, ones not equal to themselves).
+
 Each node also carries what the last ``stable()`` visit learned about it
 (:attr:`In3TNode.reconciled`, :attr:`In3TNode.agreement`); every
-mutation forgets both, so LMR4 redoes per-node work only for nodes that
-changed (see docs/ALGORITHMS.md).
+mutation forgets both and, when there was something to forget, appends
+the node to the index's :attr:`In3T.touched` log, so LMR4 looks only at
+nodes that changed (see docs/ALGORITHMS.md).
 
 Reclamation (PR 8): :meth:`In3T.prune_below` bulk-retires a settled
 prefix in one tree walk, recycling the counts dicts through a freelist;
@@ -85,13 +93,21 @@ class In3TNode:
     TDB (OUTPUT for the merge output).
     """
 
-    __slots__ = ("vs", "payload", "counts", "_key", "reconciled", "agreement")
+    __slots__ = (
+        "vs", "payload", "counts", "_key", "reconciled", "agreement", "_touched"
+    )
 
-    def __init__(self, vs: Timestamp, payload: Payload, key: tuple):
+    def __init__(
+        self, vs: Timestamp, payload: Payload, key: tuple, touched: list
+    ):
         self.vs = vs
         self.payload = payload
+        #: ``None`` once the node has left the index for good: its dict is
+        #: back on the freelist, and any further use fails on the spot.
         self.counts: Dict[StreamId, VeTier] = _COUNT_DICTS.acquire()
         self._key = key
+        #: The owning index's touched log (see :meth:`_forget`).
+        self._touched = touched
         #: ``{stream: bound}``: a ``stable(t)`` from *stream* finds nothing
         #: to reconcile here while ``t <= bound`` (written by LMR4's
         #: stable visit, forgotten on any mutation).
@@ -102,9 +118,19 @@ class In3TNode:
 
     # -- multiset maintenance -------------------------------------------
 
+    def _forget(self) -> None:
+        """Drop the cached verdicts; they described the counts as they were.
+
+        A node somebody held a verdict on goes on the touched log — once
+        per dirty period, since the next mutation finds nothing to forget.
+        """
+        if self.reconciled is not None or self.agreement is not None:
+            self.reconciled = self.agreement = None
+            self._touched.append(self)
+
     def increment(self, stream: StreamId, ve: Timestamp, by: int = 1) -> None:
         """``IncrementCount``: add *by* events ``<payload, vs, ve)``."""
-        self.reconciled = self.agreement = None
+        self._forget()
         tier = self.counts.get(stream)
         if tier is None:
             self.counts[stream] = VeTier(((ve, by),), by)
@@ -142,7 +168,7 @@ class In3TNode:
         else:
             tier[at] = (ve, count - by)
         tier.total -= by
-        self.reconciled = self.agreement = None
+        self._forget()
 
     # -- queries ---------------------------------------------------------
 
@@ -176,7 +202,7 @@ class In3TNode:
     def remove_stream(self, stream: StreamId) -> None:
         """Drop all state for *stream* (input detach)."""
         self.counts.pop(stream, None)
-        self.reconciled = self.agreement = None
+        self._forget()
 
     def is_empty(self) -> bool:
         return all(not tier for tier in self.counts.values())
@@ -194,18 +220,33 @@ class In3TNode:
 
 
 def _recycle(node: In3TNode) -> None:
-    """Return a node leaving the index for good to the freelist."""
+    """Return a node leaving the index for good to the freelist.
+
+    The node object may still be referenced (a caller, a wake heap); with
+    ``counts`` gone it cannot alias the next node to acquire that dict,
+    and with its verdicts gone nothing is waiting on it.
+    """
     _COUNT_DICTS.release(node.counts)
+    node.counts = node.reconciled = node.agreement = None
 
 
 class In3T:
     """The three-tier merge index of Algorithm R4."""
 
-    __slots__ = ("_tree", "_spill")
+    __slots__ = ("_tree", "_nodes", "_spill", "touched")
 
     def __init__(self) -> None:
         self._tree = RedBlackTree()
+        #: ``{vs: {payload: node}}`` over exactly the tree's nodes (one
+        #: with an unhashable payload is filed under itself, so a Vs has
+        #: a bucket iff it has a node): the tree answers "which nodes lie
+        #: in this Vs range", this answers "which node is this key".
+        self._nodes: Dict[Timestamp, Dict[object, In3TNode]] = {}
         self._spill: "Optional[RunSpill]" = None
+        #: Nodes whose cached verdicts a mutation dropped, and records
+        #: re-materialized behind a walk, in arrival order; the reader
+        #: (:class:`~repro.structures.frontier.Frontier`) empties it.
+        self.touched: List[In3TNode] = []
 
     def __len__(self) -> int:
         """Resident node count (spilled runs excluded; see live_nodes)."""
@@ -222,10 +263,6 @@ class In3T:
         spill = self._spill
         return len(self._tree) + (spill.spilled_nodes if spill else 0)
 
-    @staticmethod
-    def _key(vs: Timestamp, payload: Payload) -> tuple:
-        return (vs, PayloadKey(payload))
-
     def enable_spill(self, spill: "RunSpill") -> None:
         """Attach a cold-run spill; keyed operations fault runs back in."""
         self._spill = spill
@@ -238,15 +275,57 @@ class In3T:
         """``SameVsPayload``: the node for ``(vs, payload)``, or None."""
         if self._spill is not None:
             self._spill.touch(self, vs)
-        return self._tree.get(self._key(vs, payload))
+        bucket = self._nodes.get(vs)
+        if bucket is None:
+            return None
+        try:
+            node = bucket.get(payload)
+        except TypeError:
+            node = None
+        if node is None:
+            return self._tree.get((vs, PayloadKey(payload)))
+        return node
+
+    def _link(self, vs: Timestamp, payload: Payload) -> Tuple[In3TNode, bool]:
+        """The tree's node for a key the hash did not find, created (and
+        hashed) if the tree does not hold it either; ``(node, created)``."""
+        key = (vs, PayloadKey(payload))
+        tree_node, created = self._tree.get_or_reserve(key)
+        if not created:
+            return tree_node.value, False
+        node = tree_node.value = In3TNode(vs, payload, key, self.touched)
+        bucket = self._nodes.get(vs)
+        if bucket is None:
+            bucket = self._nodes[vs] = {}
+        try:
+            bucket[payload] = node
+        except TypeError:
+            bucket[node] = node
+        return node, True
+
+    def _unhash(self, node: In3TNode) -> None:
+        """Drop *node* from its Vs's bucket, and the bucket with its last."""
+        bucket = self._nodes[node.vs]
+        try:
+            del bucket[node.payload]
+        except TypeError:
+            del bucket[node]
+        if not bucket:
+            del self._nodes[node.vs]
+
+    def _retire(self, node: In3TNode) -> None:
+        """A node leaving the index for good: unhash it, recycle its dict."""
+        self._unhash(node)
+        _recycle(node)
 
     def add(self, vs: Timestamp, payload: Payload) -> In3TNode:
         """``AddNode``: create (and return) the node for ``(vs, payload)``."""
         if self._spill is not None:
             self._spill.touch(self, vs)
-        key = self._key(vs, payload)
-        node = In3TNode(vs, payload, key)
-        created = self._tree.insert(key, node)
+        return self._add(vs, payload)
+
+    def _add(self, vs: Timestamp, payload: Payload) -> In3TNode:
+        node, created = self._link(vs, payload)
         if not created:
             raise KeyError(f"in3t node already exists for ({vs}, {payload!r})")
         return node
@@ -254,29 +333,42 @@ class In3T:
     def find_or_add(self, event) -> In3TNode:
         """The node for *event*'s key, created if absent.
 
-        A single tree descent via
-        :meth:`~repro.structures.rbtree.RedBlackTree.get_or_insert`
-        (the hot path of Algorithm R4's insert handling).  *event* is
-        anything exposing ``vs`` and ``payload`` — an
+        A hash probe; only a miss descends the tree, once, to find or
+        link the node (the hot path of Algorithm R4's insert handling).
+        *event* is anything exposing ``vs`` and ``payload`` — an
         :class:`~repro.temporal.event.Event` or an
         :class:`~repro.temporal.elements.Insert`.
         """
+        vs = event.vs
         if self._spill is not None:
-            self._spill.touch(self, event.vs)
-        key = (event.vs, PayloadKey(event.payload))
-        tree_node, created = self._tree.get_or_reserve(key)
-        if created:
-            tree_node.value = In3TNode(event.vs, event.payload, key)
-        return tree_node.value
+            self._spill.touch(self, vs)
+        bucket = self._nodes.get(vs)
+        if bucket is not None:
+            try:
+                node = bucket.get(event.payload)
+            except TypeError:
+                node = None
+            if node is not None:
+                return node
+        return self._link(vs, event.payload)[0]
 
     def delete(self, node: In3TNode) -> None:
         """``Delete``: remove *node* from the top tier.
 
         The node object (and its tiers) is *not* recycled — the caller
-        may still hold it; only :meth:`prune_below` recycles.
+        may still hold it; :meth:`prune_below` and :meth:`remove` recycle.
         """
         if not self._tree.delete(node._key):
             raise KeyError(f"in3t node not present: {node!r}")
+        self._unhash(node)
+
+    def remove(self, nodes: Sequence[In3TNode]) -> None:
+        """Retire *nodes* (resident, each once) and recycle their dicts;
+        callers must not use them afterwards."""
+        delete = self._tree.delete
+        for node in nodes:
+            delete(node._key)
+            self._retire(node)
 
     def prune_below(self, t: Timestamp, keep=None) -> int:
         """Bulk-retire nodes with ``Vs < t`` in one ordered walk.
@@ -290,15 +382,23 @@ class In3T:
         """
         if keep is None:
             return self._tree.delete_below(
-                (t, _KEY_FLOOR), on_delete=_recycle
+                (t, _KEY_FLOOR), on_delete=self._retire
             )
 
         def _keep(_key: tuple, node: In3TNode) -> bool:
             return keep(node)
 
         return self._tree.delete_below(
-            (t, _KEY_FLOOR), keep=_keep, on_delete=_recycle
+            (t, _KEY_FLOOR), keep=_keep, on_delete=self._retire
         )
+
+    def nodes_between(self, lo: Timestamp, hi: Timestamp) -> List[In3TNode]:
+        """Resident nodes with ``lo <= Vs < hi`` in key order."""
+        floor = None if lo == MINUS_INFINITY else (lo, _KEY_FLOOR)
+        return [
+            node
+            for _, node in self._tree.items_between(floor, (hi, _KEY_FLOOR))
+        ]
 
     def half_frozen(self, t: Timestamp) -> List[In3TNode]:
         """Nodes with ``Vs < t`` in key order (materialized for deletion).
@@ -342,23 +442,22 @@ class In3T:
         records = []
         for _, node in pairs:
             records.append(self._to_record(node))
-            _recycle(node)
+            self._retire(node)
         return records
 
     def _insert_records(self, records: List[tuple]) -> None:
-        """Re-materialize extracted/snapshot records (keys must be absent)."""
+        """Re-materialize extracted/snapshot records (keys must be absent).
+
+        The new nodes may lie behind a stream's last walk, which no range
+        scan revisits, so they go on the touched log.
+        """
         for vs, payload, counts in records:
-            key = self._key(vs, payload)
-            node = In3TNode(vs, payload, key)
+            node = self._add(vs, payload)
             for stream, pairs in counts.items():
                 node.counts[stream] = VeTier(
                     pairs, sum(count for _, count in pairs)
                 )
-            if not self._tree.insert(key, node):
-                raise KeyError(
-                    f"in3t record collides with resident node: "
-                    f"({vs}, {payload!r})"
-                )
+            self.touched.append(node)
 
     # -- durable state (repro.resilience) -------------------------------
 
@@ -380,6 +479,8 @@ class In3T:
     def restore(self, records: List[tuple]) -> None:
         """Rebuild the index from a :meth:`snapshot` (replaces contents)."""
         self._tree.clear()
+        self._nodes.clear()
+        del self.touched[:]
         if self._spill is not None:
             self._spill.clear()
         self._insert_records(records)

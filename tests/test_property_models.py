@@ -70,11 +70,29 @@ def test_in2t_matches_dict_model(ops):
             assert node.get_entry(stream) == ve
 
 
+def assert_hash_mirrors_tree(index):
+    """In3T's identity hash holds exactly the tree's nodes, and a Vs has
+    a bucket exactly while it has a node."""
+    in_tree = list(index.nodes())
+    hashed = sum(len(bucket) for bucket in index._nodes.values())
+    assert hashed == len(in_tree) == len(index)
+    assert set(index._nodes) == {node.vs for node in in_tree}
+    for node in in_tree:
+        bucket = index._nodes[node.vs]
+        try:
+            assert bucket[node.payload] is node
+        except TypeError:  # unhashable: filed under the node itself
+            assert bucket[node] is node
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["inc", "inc", "dec", "drop", "query"]),
+            st.sampled_from(
+                ["inc", "inc", "inc", "dec", "drop", "query", "delete",
+                 "spill", "restore", "prune", "prune_keep"]
+            ),
             st.integers(0, 4),   # vs
             st.integers(0, 2),   # payload id
             st.integers(0, 2),   # stream id
@@ -86,12 +104,18 @@ def test_in2t_matches_dict_model(ops):
 )
 def test_in3t_matches_counter_model(ops):
     """The flat third tier against a plain ``{ve: count}`` model: counts,
-    the maintained total, Ve order, and that every mutation forgets the
-    verdicts LMR4 caches on the node."""
+    the maintained total, Ve order, that every mutation forgets the
+    verdicts LMR4 caches on the node and logs the node as touched — and,
+    after every operation that adds or removes nodes, that the identity
+    hash and the tree hold the same nodes."""
     from collections import Counter
 
     index = In3T()
     model = {}  # (vs, payload) -> {stream: Counter(ve)}
+
+    def has_events(key, stream):
+        return sum((+model[key].get(stream, Counter())).values()) > 0
+
     for op, vs, payload_id, stream, offset, copies in ops:
         payload = f"p{payload_id}"
         key = (vs, payload)
@@ -99,25 +123,32 @@ def test_in3t_matches_counter_model(ops):
         if op == "inc":
             node = index.find_or_add(Event(vs, payload, ve))
             node.reconciled, node.agreement = {stream: ve}, ()
+            del index.touched[:]
             node.increment(stream, ve, copies)
             assert node.reconciled is None and node.agreement is None
-            model.setdefault(key, {}).setdefault(stream, Counter())[ve] += copies
+            node.increment(stream, ve, copies)  # nothing left to forget
+            assert index.touched == [node]
+            model.setdefault(key, {}).setdefault(stream, Counter())[ve] += 2 * copies
         elif op == "dec" and key in model:
             node = index.find(vs, payload)
             counters = model[key].get(stream, Counter())
             node.reconciled, node.agreement = {stream: ve}, ()
+            del index.touched[:]
             if counters[ve] >= copies:
                 node.decrement(stream, ve, copies)
                 counters[ve] -= copies
                 assert node.reconciled is None and node.agreement is None
+                assert index.touched == [node]
             else:
                 with pytest.raises(KeyError):
                     node.decrement(stream, ve, copies)
         elif op == "drop" and stream in model.get(key, {}):
             node = index.find(vs, payload)
             node.reconciled, node.agreement = {stream: ve}, ()
+            del index.touched[:]
             node.remove_stream(stream)
             assert node.reconciled is None and node.agreement is None
+            assert index.touched == [node]
             del model[key][stream]
         elif op == "query" and key in model:
             node = index.find(vs, payload)
@@ -132,6 +163,40 @@ def test_in3t_matches_counter_model(ops):
                     live_streams.append(sid)
             assert sorted(node.streams()) == sorted(live_streams)
             assert node.is_empty() == (not live_streams)
+        elif op == "delete" and key in model:
+            index.delete(index.find(vs, payload))
+            del model[key]
+        elif op == "spill":
+            # A Vs range leaves as records and comes back as new nodes.
+            records = index._extract_records(vs, ve)
+            assert [r[:2] for r in records] == sorted(
+                k for k in model if vs <= k[0] < ve
+            )
+            assert_hash_mirrors_tree(index)
+            del index.touched[:]
+            index._insert_records(records)
+            assert [(n.vs, n.payload) for n in index.touched] == [
+                r[:2] for r in records
+            ]
+        elif op == "restore":
+            index.restore(index.snapshot())
+        elif op == "prune":
+            doomed = [k for k in model if k[0] < vs]
+            assert index.prune_below(vs) == len(doomed)
+            for k in doomed:
+                del model[k]
+        elif op == "prune_keep":
+            doomed = [
+                k for k in model if k[0] < ve and not has_events(k, stream)
+            ]
+            removed = index.prune_below(
+                ve, keep=lambda node: node.total_count(stream) > 0
+            )
+            assert removed == len(doomed)
+            for k in doomed:
+                del model[k]
+        assert_hash_mirrors_tree(index)
+        assert (index.find(vs, payload) is not None) == (key in model)
     # The snapshot record is the model, Ve-ordered, emptied tiers included.
     assert index.snapshot() == [
         (
@@ -141,6 +206,81 @@ def test_in3t_matches_counter_model(ops):
         )
         for vs, payload in sorted(model)
     ]
+
+
+def test_in3t_identity_is_the_trees_where_no_hash_can_tell():
+    """What equals what is the tree's call (``==``, then order).  The
+    hash only short-cuts it: equal payloads it cannot hash, or hashes
+    apart, still name one node — found, not added twice, not a crash."""
+    index = In3T()
+    nan = float("nan")
+    pairs = [
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}),  # equal, reprs differ
+        ([1, 2], [1.0, 2.0]),
+        (nan, float("nan")),  # hashable, never equal; unordered
+        (("sensor", nan), ("sensor", float("nan"))),
+        (1, True),  # equal and hashed alike
+    ]
+    for vs, (ours, theirs) in enumerate(pairs):
+        node = index.find_or_add(Event(vs, ours, vs + 5))
+        assert index.find_or_add(Event(vs, theirs, vs + 5)) is node
+        assert index.find(vs, theirs) is node
+        assert index.find(vs, ours) is node
+        with pytest.raises(KeyError):
+            index.add(vs, theirs)
+        assert index.find(vs + 100, theirs) is None
+    assert len(index) == len(pairs)
+    assert_hash_mirrors_tree(index)
+    index.restore(index.snapshot())
+    assert_hash_mirrors_tree(index)
+    index.delete(index.find(0, pairs[0][1]))
+    assert index.find(0, pairs[0][0]) is None
+    assert_hash_mirrors_tree(index)
+    assert index.prune_below(3) == 2
+    assert_hash_mirrors_tree(index)
+    assert index.prune_below(INFINITY) == 2
+    assert index._nodes == {}
+
+
+def test_r4_accepts_unhashable_payloads_like_r3():
+    """A dict payload cannot key In3T's identity hash; the tree finds it
+    — also when the replicas built equal dicts in different key order."""
+    from repro.lmerge import LMergeR3, LMergeR4
+    from repro.temporal.elements import Adjust
+
+    run = [
+        Insert({"a": 1}, 1, 5),
+        Insert({"a": 2}, 1, 5),
+        Insert({"b": 1, "c": 2}, 2, 9),
+        Stable(3),
+        Adjust({"b": 1, "c": 2}, 2, 9, 6),
+        Insert({"a": 1}, 4, 8),
+        Stable(7),
+    ]
+    shuffled = [run[1], run[0]] + run[2:]
+    shuffled[2] = Insert({"c": 2, "b": 1}, 2, 9)
+    shuffled[4] = Adjust({"c": 2, "b": 1}, 2, 9, 6)
+    results = []
+    for cls in (LMergeR3, LMergeR4):
+        merge = cls()
+        merge.attach(0)
+        merge.attach(1)
+        for sid, elements in ((0, run), (1, shuffled)):
+            for element in elements:
+                merge.process(element, sid)
+        assert merge.stats.inserts_out == 4
+        # reconstitute() hashes payloads, so the TDB is built by hand.
+        tdb = {}
+        for e in merge.output:
+            if e.__class__ is Insert:
+                tdb[e.vs, repr(e.payload)] = e.ve
+            elif e.__class__ is Adjust:
+                assert tdb[e.vs, repr(e.payload)] == e.v_old
+                tdb[e.vs, repr(e.payload)] = e.ve
+        results.append((tdb, merge.max_stable))
+    assert results[0] == results[1]
+    assert merge.index_nodes == 1  # ({"a": 1}, 4) is still half frozen
+    assert merge._index.find(4, {"a": 1}).total_count(0) == 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,27 +1,33 @@
-"""LMR4's memoized stable() against the full walk it replaced.
+"""LMR4's frontier-driven stable() against the full walk it replaced.
 
-``LMergeR4._stable`` skips the reconcile half of a node visit while the
-node is unmutated and ``t`` has not passed the bound recorded by the last
-full visit, and reads the output-agreement verdict from a per-node cache.
-:class:`FullVisitR4` forgets both before every ``stable()``, which is the
-walk as it was before memoization: every node re-derived on every CTI.
-The two must be indistinguishable from outside — same output elements in
-the same order, same resident index after every step.
+``LMergeR4._stable`` looks only at the nodes its frontier hands out —
+new to the freezing stream, mutated, past their recorded bound, or
+released by the settle bound — and on those skips the reconcile half
+while the recorded verdict still holds.  :class:`FullVisitR4` forgets
+every verdict and resets the frontier before every ``stable()``, which is
+the walk as it was before either: every half-frozen node visited and
+re-derived on every CTI.  The two must be indistinguishable from outside
+— same output elements in the same order, same resident index after
+every step.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lmerge import LMergeR4, ReclamationPolicy
 from repro.lmerge.base import InputStateError
 from repro.streams.divergence import diverge, duplicate_inserts
-from repro.structures.in3t import In3T
+from repro.structures import frontier as frontier_module
+from repro.structures.frontier import Frontier
+from repro.structures.in3t import In3T, In3TNode
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.tdb import StreamViolationError, reconstitute
 from repro.temporal.time import INFINITY
@@ -30,11 +36,13 @@ from conftest import small_stream
 
 
 class FullVisitR4(LMergeR4):
-    """The reference: no verdict survives from one stable() to the next."""
+    """The reference: no verdict and no frontier survive from one
+    stable() to the next, so each one visits every node below *t*."""
 
     def _stable(self, t, stream_id):
         for node in self._index.nodes():
             node.reconciled = node.agreement = None
+        self._frontier.reset(self._inputs)
         super()._stable(t, stream_id)
 
 
@@ -45,17 +53,28 @@ POLICIES = {
     "spill": ReclamationPolicy(spill=True, run_width=16, hot_runs=1),
 }
 
+STRAGGLER = 1
 LAGGARD = 2
 JOINER = 3
 
 
-def scenario(seed: int, disorder: float, duplicates: bool):
-    """A delivery script: two leaders, a trailing replica that is later
-    detached, a replica that attaches late and replays from scratch, and
-    one snapshot/restore — ``(op, stream_id, element)`` triples."""
+def scenario(seed: int, disorder: float, duplicates: bool, lifetime: int = 100):
+    """A delivery script — ``(op, stream_id, element)`` triples.
+
+    Two leaders; a trailing replica that later races ahead (so a stream
+    that never walked becomes the one that walks, and must see every node
+    below *t*) and is detached at some point of that; a replica that
+    attaches late and replays from scratch; a leader that stalls and is
+    detached while the others' nodes wait on it (prunable from then on
+    with no mutation to announce it); one snapshot/restore.
+    """
     rng = random.Random(seed)
     reference = small_stream(
-        count=140, seed=seed % 31, disorder=disorder, stable_freq=0.12
+        count=140,
+        seed=seed % 31,
+        disorder=disorder,
+        stable_freq=0.12,
+        event_duration=lifetime,
     )
     if duplicates:
         reference = duplicate_inserts(reference, random.Random(seed), fraction=0.2)
@@ -72,12 +91,21 @@ def scenario(seed: int, disorder: float, duplicates: bool):
     ]
     lag = rng.randint(20, 120)
     join_at = rng.randint(40, 200)
-    detach_at = rng.randint(150, 400)
+    overtake_at = rng.randint(80, 220)
+    detach_at = rng.randint(150, 550)
+    stall_at = rng.randint(120, 350)
+    drop_at = stall_at + rng.randint(40, 200)
     snapshot_at = rng.randint(30, 400)
     cursors = [0, 0, 0, 0]
-    live = [0, 1, LAGGARD]
+    live = [0, STRAGGLER, LAGGARD]
     script = [("attach", stream_id, None) for stream_id in live]
     step = 0
+
+    def held_back(i):
+        if i == LAGGARD:
+            return step < overtake_at and cursors[i] + lag >= cursors[0]
+        return i == STRAGGLER and step >= stall_at
+
     while any(cursors[i] < len(inputs[i]) for i in live):
         step += 1
         if step == join_at:
@@ -86,19 +114,24 @@ def scenario(seed: int, disorder: float, duplicates: bool):
         if step == detach_at and LAGGARD in live:
             script.append(("detach", LAGGARD, None))
             live.remove(LAGGARD)
+        if step == drop_at and STRAGGLER in live:
+            script.append(("detach", STRAGGLER, None))
+            live.remove(STRAGGLER)
         if step == snapshot_at:
             script.append(("snapshot", None, None))
-        ready = [
-            i
-            for i in live
-            if cursors[i] < len(inputs[i])
-            and (i != LAGGARD or cursors[i] + lag < cursors[0])
+        unfinished = [i for i in live if cursors[i] < len(inputs[i])]
+        if not unfinished:
+            break  # this step's detach dropped the last one with input left
+        # Only held-back replicas have input left: let them drain.
+        ready = [i for i in unfinished if not held_back(i)] or unfinished
+        # The joiner replays history and the overtaking laggard has a lag
+        # to make up (and then a lead to keep): fed faster until they have.
+        weights = [
+            3 if i == JOINER and cursors[i] < cursors[0]
+            else 6 if i == LAGGARD and cursors[i] < cursors[0] + 15
+            else 1
+            for i in ready
         ]
-        if not ready:
-            # Only the laggard has input left: let it drain.
-            ready = [i for i in live if cursors[i] < len(inputs[i])]
-        # The joiner replays history, so it is fed faster to catch up.
-        weights = [3 if i == JOINER else 1 for i in ready]
         stream_id = rng.choices(ready, weights)[0]
         script.append(("feed", stream_id, inputs[stream_id][cursors[stream_id]]))
         cursors[stream_id] += 1
@@ -111,20 +144,15 @@ def restored(merge, cls, policy, out):
     return fresh
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    disorder=st.sampled_from([0.0, 0.3, 0.6]),
-    duplicates=st.booleans(),
-    policy_name=st.sampled_from(sorted(POLICIES)),
-)
-def test_memoized_stable_is_indistinguishable_from_the_full_walk(
-    seed, disorder, duplicates, policy_name
+def run_scenario(
+    seed, disorder, duplicates, policy_name, lifetime=100, fast_cls=LMergeR4
 ):
+    """Drive :func:`scenario` through LMergeR4 and the full-walk
+    reference in lockstep; any visible difference is an AssertionError."""
     policy = POLICIES[policy_name]
-    reference, script = scenario(seed, disorder, duplicates)
+    reference, script = scenario(seed, disorder, duplicates, lifetime)
     fast_out, full_out = [], []
-    fast = LMergeR4(sink=fast_out.append, reclamation=policy)
+    fast = fast_cls(sink=fast_out.append, reclamation=policy)
     full = FullVisitR4(sink=full_out.append, reclamation=policy)
     checked = 0
     for op, stream_id, element in script:
@@ -137,7 +165,7 @@ def test_memoized_stable_is_indistinguishable_from_the_full_walk(
             fast.detach(stream_id)
             full.detach(stream_id)
         elif op == "snapshot":
-            fast = restored(fast, LMergeR4, policy, fast_out)
+            fast = restored(fast, fast_cls, policy, fast_out)
             full = restored(full, FullVisitR4, policy, full_out)
         else:
             fast.process(element, stream_id)
@@ -146,7 +174,7 @@ def test_memoized_stable_is_indistinguishable_from_the_full_walk(
         checked = len(fast_out)
         assert len(full_out) == checked
         assert fast.index_nodes == full.index_nodes, (op, stream_id, element)
-    assert fast.stable_scan_nodes == full.stable_scan_nodes
+    assert fast.stable_scan_nodes <= full.stable_scan_nodes
     assert fast.pruned_nodes == full.pruned_nodes
     assert fast.dropped_frozen == full.dropped_frozen
     assert fast.stable_reconciled_nodes <= full.stable_reconciled_nodes
@@ -154,6 +182,87 @@ def test_memoized_stable_is_indistinguishable_from_the_full_walk(
     if policy is None:
         # The script is a legal R4 workload, not just a consistent one.
         assert reconstitute(fast_out) == reference.tdb()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    disorder=st.sampled_from([0.0, 0.3, 0.6]),
+    duplicates=st.booleans(),
+    policy_name=st.sampled_from(sorted(POLICIES)),
+    lifetime=st.sampled_from([100, 600]),
+)
+def test_frontier_stable_is_indistinguishable_from_the_full_walk(
+    seed, disorder, duplicates, policy_name, lifetime
+):
+    run_scenario(seed, disorder, duplicates, policy_name, lifetime)
+
+
+# Seeded mutations of the frontier: each drops one of the reasons a node
+# is looked at again (or the order it is looked at in), and each must make
+# the differential above fail — on a fixed grid, so this cannot flake.
+# FullVisitR4 resets the frontier before every stable and is immune.
+
+
+_decrement = In3TNode.decrement
+
+
+def _decrement_without_touch(self, stream, ve, by=1):
+    log, self._touched = self._touched, []
+    try:
+        _decrement(self, stream, ve, by)
+    finally:
+        self._touched = log
+
+
+class NoResetOnDetach(LMergeR4):
+    def _on_detach(self, stream_id):
+        pass
+
+
+#: Every close trims every heap, not only the ones that outgrew the index.
+ALWAYS_TRIM = (frontier_module, "SLACK", -(10**9))
+
+MUTATIONS = {
+    "no touch on decrement": (
+        LMergeR4, [(In3TNode, "decrement", _decrement_without_touch)]
+    ),
+    "no reset on detach": (NoResetOnDetach, []),
+    "no settle-lag wake": (
+        LMergeR4, [(Frontier, "park", lambda self, node: None)]
+    ),
+    "woken set left unsorted": (
+        LMergeR4, [(frontier_module, "sorted", lambda nodes, key: list(nodes))]
+    ),
+    "trim drops current entries": (
+        LMergeR4,
+        [ALWAYS_TRIM, (frontier_module, "_trim", lambda heap, current: heap.clear())],
+    ),
+}
+
+
+def grid():
+    return itertools.product(
+        range(3), [0.0, 0.3, 0.6], [False, True], sorted(POLICIES), [100, 600]
+    )
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_seeded_mutation_fails_the_differential(mutation, monkeypatch):
+    fast_cls, patches = MUTATIONS[mutation]
+    for patch in patches:
+        monkeypatch.setattr(*patch, raising=False)
+    with pytest.raises(AssertionError):
+        for args in grid():
+            run_scenario(*args, fast_cls=fast_cls)
+
+
+def test_trimming_the_heaps_on_every_walk_changes_nothing(monkeypatch):
+    """The scenarios are too small to outgrow ``2 * resident + SLACK``,
+    so the trim is forced: what it drops must be what nobody waits on."""
+    monkeypatch.setattr(*ALWAYS_TRIM)
+    for args in grid():
+        run_scenario(*args)
 
 
 def lockstep(fast, full, call):
@@ -173,14 +282,14 @@ def lockstep(fast, full, call):
 @given(
     seed=st.integers(0, 10**9), policy_name=st.sampled_from(sorted(POLICIES))
 )
-def test_memoized_stable_matches_the_full_walk_on_arbitrary_input(
+def test_frontier_stable_matches_the_full_walk_on_arbitrary_input(
     seed, policy_name
 ):
     """Not only on legal workloads: cancels and revisions of half-frozen
     events, inserts behind the stable point, revisions of events a stream
     never sent, a stream that leaves and rejoins with another guarantee.
     Whatever LMR4 makes of them, it makes the same of them with and
-    without the per-node verdicts.
+    without the frontier and the per-node verdicts.
 
     A seeded walk rather than a drawn op list: the interesting cases are
     chains (insert, freeze, revise *that* event, freeze again) that
@@ -241,17 +350,19 @@ def test_memoized_stable_matches_the_full_walk_on_arbitrary_input(
             return  # both refused the input; their state is now undefined
         assert fast_out == full_out, (kind, stream_id)
         assert fast._index.snapshot() == full._index.snapshot()
-    assert fast.stable_scan_nodes == full.stable_scan_nodes
+    assert fast.stable_scan_nodes <= full.stable_scan_nodes
     assert fast.pruned_nodes == full.pruned_nodes
 
 
 # ----------------------------------------------------------------------
-# How many nodes take the full path
+# How many nodes a stable looks at
 # ----------------------------------------------------------------------
 
-#: ``stable_scan_nodes`` of :func:`lagged_adversary` at the commit before
-#: memoization (7dffe11): the walk still visits every half-frozen node.
+#: ``stable_scan_nodes`` of :func:`lagged_adversary` while the walk still
+#: visited every half-frozen node (7dffe11 .. 4920b96).
 HEAD_SCAN_NODES = 23_097
+#: ... and now: exactly the nodes that had to be reconciled.
+SCAN_NODES = 5_266
 
 
 def lagged_adversary(count=3000, every=50, lag=1500, seed=3):
@@ -277,7 +388,7 @@ def lagged_adversary(count=3000, every=50, lag=1500, seed=3):
             yield 2, base[k - lag]
 
 
-def test_only_changed_nodes_are_reconciled_on_the_lagged_adversary():
+def test_only_changed_nodes_are_looked_at_on_the_lagged_adversary():
     merge = LMergeR4(reclamation=ReclamationPolicy())
     for stream_id in range(3):
         merge.attach(stream_id)
@@ -312,13 +423,71 @@ def test_only_changed_nodes_are_reconciled_on_the_lagged_adversary():
         reconciled = merge.stable_reconciled_nodes - before
         assert reconciled <= len(allowed), (t, reconciled, len(allowed))
         assert reconciled <= merge.stable_scan_nodes - scanned_before
+        # The laggard never walks; what waits for it stays bounded.
+        assert merge._frontier.pending() <= 2 * merge.index_nodes + 64
         touched.clear()
         t_prev = t
         effective += 1
     assert effective == 60
-    assert merge.stable_scan_nodes == HEAD_SCAN_NODES
-    # The laggard holds several times what a CTI changes; most visits skip.
-    assert merge.stable_reconciled_nodes * 4 < merge.stable_scan_nodes
+    # The laggard holds several times what a CTI changes, and none of
+    # that is looked at.
+    assert merge.stable_scan_nodes == SCAN_NODES
+    assert merge.stable_scan_nodes * 4 < HEAD_SCAN_NODES
+
+
+def worklists(frontier):
+    return [
+        frontier._parked, *frontier._wake.values(), *frontier._due.values()
+    ]
+
+
+@pytest.mark.parametrize("settle_lag", [0, 50])
+def test_frontier_state_is_bounded_by_resident_nodes(settle_lag):
+    """PR 8's guarantee, for the worklists: what they hold follows the
+    resident nodes, not the input.  Events that end in the far future
+    leave wake entries no walk will pass while the nodes are long pruned;
+    a stream that walked once and then stalled never pops its own."""
+    merge = LMergeR4(reclamation=ReclamationPolicy(settle_lag=settle_lag))
+    for stream_id in range(3):
+        merge.attach(stream_id)
+    frontier = merge._frontier
+    slack = frontier_module.SLACK
+    for i in range(4000):
+        element = Insert(("p", i), i, 10**9)
+        for stream_id in range(3):
+            merge.process(element, stream_id)
+        if i % 10 == 9:
+            # Stream 2 leads the first CTI and is silent from then on.
+            for stream_id in (2, 0, 1) if i == 9 else (0, 1):
+                merge.process(Stable(i), stream_id)
+            assert merge.index_nodes <= settle_lag + 10
+            for held in worklists(frontier):
+                assert len(held) <= 2 * merge.index_nodes + slack
+            assert frontier.pending() <= 7 * (2 * merge.index_nodes + slack)
+    assert merge.pruned_nodes >= 3990 - settle_lag
+
+
+def test_frontier_state_is_bounded_on_a_key_revised_forever():
+    """One node, revised on every CTI: each reconcile pushes a wake entry
+    with a far-future bound and makes the last one stale."""
+    merge = LMergeR4(reclamation=ReclamationPolicy())
+    merge.attach(0)
+    merge.attach(1)
+    end = 10**9
+    for stream_id in (0, 1):
+        merge.process(Insert("p", 0, end), stream_id)
+    for i in range(1, 500):
+        # Every other revision returns to the same end: an entry equal to
+        # the one the node carries can be stale too.
+        new_end = 10**9 + (i % 2)
+        for stream_id in (0, 1):
+            merge.process(Adjust("p", 0, end, new_end), stream_id)
+            merge.process(Stable(i), stream_id)
+        end = new_end
+        assert merge.index_nodes == 1
+        for held in worklists(merge._frontier):
+            assert len(held) <= 2 + frontier_module.SLACK
+    assert merge.stable_reconciled_nodes >= 499
 
 
 # ----------------------------------------------------------------------

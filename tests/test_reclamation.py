@@ -336,6 +336,29 @@ class TestFreelists:
         # and go to the allocator.
         assert _COUNT_DICTS.released - released >= merge.pruned_nodes
 
+    def test_retained_node_fails_loudly_after_prune(self):
+        """A recycled node's counts dict goes to the next node; the old
+        node object must not be able to write into it."""
+        from repro.structures.in3t import In3T, _COUNT_DICTS
+
+        _COUNT_DICTS.drain()  # a full freelist drops releases
+        index = In3T()
+        stale = index.find_or_add(Insert("A", 1, 5))
+        stale.increment(0, 5)
+        held = stale.counts
+        assert index.prune_below(2) == 1
+        fresh = index.find_or_add(Insert("B", 3, 9))
+        assert fresh.counts is held
+        for use in (
+            lambda: stale.increment(0, 7),
+            lambda: stale.decrement(0, 5),
+            lambda: stale.total_count(0),
+            lambda: stale.max_ve(0),
+        ):
+            with pytest.raises(AttributeError):
+                use()
+        assert fresh.is_empty() and fresh.total_count(0) == 0
+
     def test_steady_state_allocates_no_tree_nodes(self):
         from repro.structures.rbtree import NODE_POOL
 
