@@ -16,10 +16,13 @@ propagating punctuation:
   (``AdjustOutput``), achieved by retiming previously output events.
 
 Complexities (Table IV): insert/adjust O(lg w + lg d); stable
-O(c lg w + h*d); space O(w (p + s*d)).  The ``h*d`` term is the walk over
-the *h* half-frozen keys; here a stable looks only at the *Δ* of them
-whose answer can have changed since the freezing stream last reconciled
-them — ``Δ*d`` (see :meth:`LMergeR4._stable`).
+O(c lg w + h*d); space O(w (p + s*d)).  Here the key is found by hash, so
+insert/adjust is expected O(1) — O(lg r + chunk) for an insert whose Vs is
+new and inside the window, *r* the resident distinct Vs values (see
+:mod:`repro.structures.in3t`).  The ``h*d`` term is the walk over the *h*
+half-frozen keys; here a stable looks only at the *Δ* of them whose
+answer can have changed since the freezing stream last reconciled them —
+``Δ*d`` (see :meth:`LMergeR4._stable`).
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class LMergeR4(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path: one tree descent per element (find_or_add instead of
+        # Fast path: one index probe per element (find_or_add instead of
         # find + add) and one bulk emit.  Keys behind MaxStable must not
         # be materialized, so they take the find-only branch — and can
         # never reach the output (the Vs >= MaxStable guard of line 8).

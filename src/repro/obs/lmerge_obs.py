@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.registry import MetricRegistry
+from repro.obs.registry import MetricRegistry, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.operator import Operator
@@ -92,6 +92,40 @@ class LMergeObserver:
         self._last_spilled = getattr(merge, "spilled_runs", 0)
         self._last_faulted = getattr(merge, "faulted_runs", 0)
         self.samples = 0
+        # Every instrument sample() writes is resolved once: here, or for
+        # the per-input ones when the input is first seen.  (A registry
+        # reset() zeroes instruments and keeps these handles live.)
+        labels = self._labels
+        self._output_frontier = registry.gauge(
+            "lmerge_output_frontier",
+            labels,
+            help="Latest Stable(t) the merge has emitted.",
+        )
+        self._inserts_in = registry.counter(
+            "lmerge_inserts_in_total",
+            labels,
+            help="Input inserts presented to the merge.",
+        )
+        self._duplicates_dropped = registry.counter(
+            "lmerge_duplicates_dropped_total",
+            labels,
+            help="Redundant presentations absorbed by duplicate elimination.",
+        )
+        self._index_nodes = registry.gauge(
+            "lmerge_index_nodes", labels, help="Resident merge-index nodes."
+        )
+        self._index_bytes = registry.gauge(
+            "lmerge_index_bytes",
+            labels,
+            help="Approximate resident merge-index bytes.",
+        )
+        self._pruned_nodes = registry.counter("lmerge_pruned_nodes_total", labels)
+        self._spilled_runs = registry.counter("lmerge_spilled_runs_total", labels)
+        self._faulted_runs = registry.counter("lmerge_faulted_runs_total", labels)
+        #: stream id -> its (lag gauge, leading gauge), and its lag series
+        #: once it has a finite lag to plot.
+        self._input_gauges: Dict[object, tuple] = {}
+        self._lag_series: Dict[object, TimeSeries] = {}
         if hasattr(merge, "add_feedback_listener"):
             merge.add_feedback_listener(self._on_feedback_emitted)
 
@@ -111,37 +145,41 @@ class LMergeObserver:
         clock, elements processed, or wall seconds, whichever timeline the
         run is plotted against.  Defaults to the sample ordinal.
         """
-        registry = self.registry
         merge = self.merge
         if clock is None:
             clock = float(self.samples)
         self.samples += 1
 
         frontier = merge.max_stable
-        registry.gauge(
-            "lmerge_output_frontier",
-            self._labels,
-            help="Latest Stable(t) the merge has emitted.",
-        ).set(frontier)
+        self._output_frontier.set(frontier)
         leader = merge.leading_stream()
         lags: Dict[object, float] = {}
         for stream_id in merge.input_ids:
-            labels = {**self._labels, "input": stream_id}
+            gauges = self._input_gauges.get(stream_id)
+            if gauges is None:
+                labels = {**self._labels, "input": stream_id}
+                gauges = self._input_gauges[stream_id] = (
+                    self.registry.gauge(
+                        "lmerge_frontier_lag",
+                        labels,
+                        help="How far this input's stable point trails the "
+                        "output frontier.",
+                    ),
+                    self.registry.gauge("lmerge_leading", labels),
+                )
             lag = frontier_lag(frontier, merge.input_stable(stream_id))
             lags[stream_id] = lag
-            registry.gauge(
-                "lmerge_frontier_lag",
-                labels,
-                help="How far this input's stable point trails the "
-                "output frontier.",
-            ).set(lag)
-            registry.gauge("lmerge_leading", labels).set(
-                1 if stream_id == leader else 0
-            )
+            gauges[0].set(lag)
+            gauges[1].set(1 if stream_id == leader else 0)
             if lag != math.inf:
-                registry.timeseries(
-                    "lmerge_frontier_lag_series", labels, bucket=self.bucket
-                ).record(clock, lag)
+                series = self._lag_series.get(stream_id)
+                if series is None:
+                    series = self._lag_series[stream_id] = self.registry.timeseries(
+                        "lmerge_frontier_lag_series",
+                        {**self._labels, "input": stream_id},
+                        bucket=self.bucket,
+                    )
+                series.record(clock, lag)
 
         # Duplicate elimination from MergeStats deltas: inserts absorbed
         # without a matching output insert were redundant presentations of
@@ -152,62 +190,34 @@ class LMergeObserver:
         self._last_inserts_in = stats.inserts_in
         self._last_inserts_out = stats.inserts_out
         if d_in > 0:
-            registry.counter(
-                "lmerge_inserts_in_total",
-                self._labels,
-                help="Input inserts presented to the merge.",
-            ).inc(d_in)
-            dropped = d_in - d_out
-            if dropped > 0:
-                registry.counter(
-                    "lmerge_duplicates_dropped_total",
-                    self._labels,
-                    help="Redundant presentations absorbed by duplicate "
-                    "elimination.",
-                ).inc(dropped)
+            self._inserts_in.inc(d_in)
+            if d_in > d_out:
+                self._duplicates_dropped.inc(d_in - d_out)
 
         # Bounded-state accounting (PR 8): resident index size as gauges,
         # reclamation/spill traffic as counter deltas (registry counters
         # are increase-only, the merge counters are cumulative).
-        registry.gauge(
-            "lmerge_index_nodes",
-            self._labels,
-            help="Resident merge-index nodes.",
-        ).set(getattr(merge, "index_nodes", 0))
-        registry.gauge(
-            "lmerge_index_bytes",
-            self._labels,
-            help="Approximate resident merge-index bytes.",
-        ).set(getattr(merge, "index_bytes", 0))
+        self._index_nodes.set(getattr(merge, "index_nodes", 0))
+        self._index_bytes.set(getattr(merge, "index_bytes", 0))
         pruned = getattr(merge, "pruned_nodes", 0)
         if pruned > self._last_pruned:
-            registry.counter(
-                "lmerge_pruned_nodes_total", self._labels
-            ).inc(pruned - self._last_pruned)
+            self._pruned_nodes.inc(pruned - self._last_pruned)
         self._last_pruned = pruned
         spilled = getattr(merge, "spilled_runs", 0)
         if spilled > self._last_spilled:
-            registry.counter(
-                "lmerge_spilled_runs_total", self._labels
-            ).inc(spilled - self._last_spilled)
+            self._spilled_runs.inc(spilled - self._last_spilled)
         self._last_spilled = spilled
         faulted = getattr(merge, "faulted_runs", 0)
         if faulted > self._last_faulted:
-            registry.counter(
-                "lmerge_faulted_runs_total", self._labels
-            ).inc(faulted - self._last_faulted)
+            self._faulted_runs.inc(faulted - self._last_faulted)
         self._last_faulted = faulted
         return lags
 
     def duplicate_hit_rate(self) -> float:
         """Fraction of sampled input inserts absorbed as duplicates."""
-        inserts = self.registry.counter("lmerge_inserts_in_total", self._labels)
-        dropped = self.registry.counter(
-            "lmerge_duplicates_dropped_total", self._labels
-        )
-        if not inserts.value:
+        if not self._inserts_in.value:
             return 0.0
-        return dropped.value / inserts.value
+        return self._duplicates_dropped.value / self._inserts_in.value
 
     def lag_series(self) -> Dict[str, List]:
         """Per-input frontier-lag series, keyed by input id (as a string)."""

@@ -5,13 +5,15 @@ The paper's R3 and R4 algorithms rely on two custom structures (Fig. 1):
 * :class:`~repro.structures.in2t.In2T` — a red-black tree keyed on
   ``(Vs, payload)`` whose nodes hold one event plus a hash table mapping each
   input stream (and the output, key ``OUTPUT``) to its current Ve;
-* :class:`~repro.structures.in3t.In3T` — the same top tier, but each hash
+* :class:`~repro.structures.in3t.In3T` — the same keys, but each hash
   entry holds a small ordered index of ``Ve -> count`` so multiple events
   with the same ``(Vs, payload)`` and duplicates are supported.
 
-Both are built on :class:`~repro.structures.rbtree.RedBlackTree`, a
-from-scratch CLRS-style red-black tree (no third-party ordered containers
-are used anywhere in this repository).
+In2T is built on :class:`~repro.structures.rbtree.RedBlackTree`, a
+from-scratch CLRS-style red-black tree; In3T finds its keys by hash and
+orders only their distinct Vs values, in
+:class:`~repro.structures.sortedkeys.SortedKeys` (no third-party ordered
+containers are used anywhere in this repository).
 """
 
 from repro.structures.rbtree import RedBlackTree, node_pool_stats

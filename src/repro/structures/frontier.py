@@ -7,7 +7,7 @@ last time, so instead of walking them all the merge asks a
 below *t* needs a look for one of four reasons:
 
 * *s* has never walked past it — it lies at or above the bound of *s*'s
-  last walk, and the index finds it by a tree range scan;
+  last walk, and the index finds it as a range of its ordered Vs values;
 * it mutated since somebody recorded a verdict on it — the index appends
   such nodes to a shared *touched* log, which every walk drains into each
   stream's *due* set;

@@ -1,11 +1,10 @@
 """The in3t (index-3-tier) structure for LMerge case R4 (Fig. 1, right).
 
-Same top tier as in2t — a red-black tree keyed on ``(Vs, payload)`` — but
-under R4 many events can share a ``(Vs, payload)`` with different Ve
-values, and exact duplicates may occur.  So each second-tier hash entry
-holds, instead of a single Ve, a third tier mapping ``Ve -> count``.  The
-output's multiset is tracked under the sentinel key
-:data:`~repro.structures.in2t.OUTPUT`.
+The paper's top tier orders ``(Vs, payload)`` keys; under R4 many events
+can share a key with different Ve values, and exact duplicates may occur,
+so each second-tier hash entry holds, instead of a single Ve, a third
+tier mapping ``Ve -> count``.  The output's multiset is tracked under the
+sentinel key :data:`~repro.structures.in2t.OUTPUT`.
 
 The third tier holds *d* distinct Ve values per ``(key, stream)`` and *d*
 is one or two in practice (an event and its revision), so it is a flat
@@ -13,30 +12,30 @@ Ve-ordered pair list (:class:`VeTier`) with its multiset size maintained
 alongside, not a tree per stream.  :meth:`In3TNode.memory_bytes` still
 prices the paper's ordered-tree third tier (Table IV's space model).
 
-Order is needed only to walk a Vs range; *identity* — "the node for this
-``(Vs, payload)``" — is answered by a hash kept beside the tree
-(:attr:`In3T._nodes`): a hit, and a miss on a Vs no resident node has,
-never descend.  Any other miss asks the tree, which stays the authority
-on what equals what (its ``==``-and-order test accepts payloads no hash
-can: unhashable ones, ones not equal to themselves).
+Nor is the top tier a tree.  *Identity* — "the node for this ``(Vs,
+payload)``" — is a hash, ``{vs: {payload: node}}``; *order* is needed
+only to walk a Vs range, so what is kept ordered is the distinct resident
+Vs values (:class:`~repro.structures.sortedkeys.SortedKeys`), and a Vs
+with several payloads sorts them when a walk reaches it.  A new key is a
+dict insert plus, for a new Vs, an append (O(lg r + chunk) inside the
+window, *r* resident distinct Vs); a retired key is a dict delete.  Which
+payloads name one key where no hash can tell is :func:`_held`'s call.
 
-Each node also carries what the last ``stable()`` visit learned about it
-(:attr:`In3TNode.reconciled`, :attr:`In3TNode.agreement`); every
-mutation forgets both and, when there was something to forget, appends
-the node to the index's :attr:`In3T.touched` log, so LMR4 looks only at
-nodes that changed (see docs/ALGORITHMS.md).
-
-Reclamation (PR 8): :meth:`In3T.prune_below` bulk-retires a settled
-prefix in one tree walk, recycling the counts dicts through a freelist;
-:meth:`In3T.enable_spill` attaches a
-:class:`~repro.structures.spill.RunSpill` for cold, output-agreed runs.
+Each node carries what the last ``stable()`` visit learned about it
+(:attr:`In3TNode.reconciled`, :attr:`In3TNode.agreement`); a mutation
+forgets both and logs the node on :attr:`In3T.touched`, so LMR4 looks only
+at nodes that changed (docs/ALGORITHMS.md).  Reclamation (PR 8) is
+:meth:`In3T.prune_below`, which recycles the counts dicts through a
+freelist, and :meth:`In3T.enable_spill` for cold, output-agreed runs.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -44,9 +43,8 @@ from typing import (
     Tuple,
 )
 
-from repro.structures.in2t import OUTPUT, StreamId, _KeyFloor
+from repro.structures.in2t import OUTPUT, StreamId
 from repro.structures.pool import FreeList
-from repro.structures.rbtree import RedBlackTree
 from repro.structures.sizing import (
     HASH_ENTRY_OVERHEAD,
     TIMESTAMP_BYTES,
@@ -54,13 +52,14 @@ from repro.structures.sizing import (
     PayloadKey,
     payload_bytes,
 )
-from repro.temporal.event import Event, Payload
+from repro.structures.sortedkeys import SortedKeys
+from repro.temporal.event import Payload
 from repro.temporal.time import MINUS_INFINITY, Timestamp
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.structures.spill import RunSpill
 
-_KEY_FLOOR = _KeyFloor()
+_BY_KEY = attrgetter("_key")
 
 #: Freelist of second-tier counts dicts (stream id -> Ve tier).
 _COUNT_DICTS = FreeList(dict, dict.clear)
@@ -230,18 +229,40 @@ def _recycle(node: In3TNode) -> None:
     node.counts = node.reconciled = node.agreement = None
 
 
+def _held(bucket: Dict[object, In3TNode], payload: Payload) -> Optional[In3TNode]:
+    """The node among one Vs's that *payload* names, or None.
+
+    On a hash miss the bucket is searched: payloads are one key when they
+    are ``==`` or, failing that, when neither :class:`PayloadKey` orders
+    before the other — equal dicts built in another key order, ``[1, 2]``
+    and ``[1.0, 2.0]``, NaN and NaN — and no hash can tell.
+    """
+    try:
+        node = bucket.get(payload)
+    except TypeError:
+        node = None
+    if node is None:
+        key = PayloadKey(payload)
+        for node in bucket.values():
+            held = node._key[1]
+            if held == key or not (key < held or held < key):
+                return node
+        return None
+    return node
+
+
 class In3T:
     """The three-tier merge index of Algorithm R4."""
 
-    __slots__ = ("_tree", "_nodes", "_spill", "touched")
+    __slots__ = ("_order", "_nodes", "_size", "_spill", "touched")
 
     def __init__(self) -> None:
-        self._tree = RedBlackTree()
-        #: ``{vs: {payload: node}}`` over exactly the tree's nodes (one
-        #: with an unhashable payload is filed under itself, so a Vs has
-        #: a bucket iff it has a node): the tree answers "which nodes lie
-        #: in this Vs range", this answers "which node is this key".
+        #: The distinct resident Vs values, ascending.
+        self._order = SortedKeys()
+        #: ``{vs: {payload: node}}`` (a node with an unhashable payload is
+        #: filed under itself); a Vs is in ``_order`` iff it has a bucket.
         self._nodes: Dict[Timestamp, Dict[object, In3TNode]] = {}
+        self._size = 0
         self._spill: "Optional[RunSpill]" = None
         #: Nodes whose cached verdicts a mutation dropped, and records
         #: re-materialized behind a walk, in arrival order; the reader
@@ -250,18 +271,16 @@ class In3T:
 
     def __len__(self) -> int:
         """Resident node count (spilled runs excluded; see live_nodes)."""
-        return len(self._tree)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._tree) or (
-            self._spill is not None and self._spill.spilled_nodes > 0
-        )
+        return self.live_nodes > 0
 
     @property
     def live_nodes(self) -> int:
         """Logical node count: resident plus spilled."""
         spill = self._spill
-        return len(self._tree) + (spill.spilled_nodes if spill else 0)
+        return self._size + (spill.spilled_nodes if spill else 0)
 
     def enable_spill(self, spill: "RunSpill") -> None:
         """Attach a cold-run spill; keyed operations fault runs back in."""
@@ -276,187 +295,141 @@ class In3T:
         if self._spill is not None:
             self._spill.touch(self, vs)
         bucket = self._nodes.get(vs)
-        if bucket is None:
-            return None
-        try:
-            node = bucket.get(payload)
-        except TypeError:
-            node = None
-        if node is None:
-            return self._tree.get((vs, PayloadKey(payload)))
-        return node
+        return None if bucket is None else _held(bucket, payload)
 
-    def _link(self, vs: Timestamp, payload: Payload) -> Tuple[In3TNode, bool]:
-        """The tree's node for a key the hash did not find, created (and
-        hashed) if the tree does not hold it either; ``(node, created)``."""
-        key = (vs, PayloadKey(payload))
-        tree_node, created = self._tree.get_or_reserve(key)
-        if not created:
-            return tree_node.value, False
-        node = tree_node.value = In3TNode(vs, payload, key, self.touched)
-        bucket = self._nodes.get(vs)
+    def _file(self, bucket: Optional[dict], vs, payload) -> In3TNode:
+        """A new node for an absent key; *bucket* is its Vs's, if any."""
         if bucket is None:
             bucket = self._nodes[vs] = {}
+            self._order.add(vs)
+        node = In3TNode(vs, payload, (vs, PayloadKey(payload)), self.touched)
         try:
             bucket[payload] = node
         except TypeError:
             bucket[node] = node
-        return node, True
+        self._size += 1
+        return node
 
-    def _unhash(self, node: In3TNode) -> None:
-        """Drop *node* from its Vs's bucket, and the bucket with its last."""
-        bucket = self._nodes[node.vs]
-        try:
-            del bucket[node.payload]
-        except TypeError:
-            del bucket[node]
-        if not bucket:
-            del self._nodes[node.vs]
-
-    def _retire(self, node: In3TNode) -> None:
-        """A node leaving the index for good: unhash it, recycle its dict."""
-        self._unhash(node)
-        _recycle(node)
+    def _unfile(self, nodes: Sequence[In3TNode]) -> None:
+        """Take *nodes* out of their buckets, and the Vs values that
+        empties out of the order in one sweep."""
+        buckets = self._nodes
+        emptied = []
+        for node in nodes:
+            bucket = buckets[node.vs]
+            try:
+                del bucket[node.payload]
+            except TypeError:
+                del bucket[node]
+            if not bucket:
+                del buckets[node.vs]
+                emptied.append(node.vs)
+        self._size -= len(nodes)
+        if emptied:
+            self._order.discard(emptied)
 
     def add(self, vs: Timestamp, payload: Payload) -> In3TNode:
         """``AddNode``: create (and return) the node for ``(vs, payload)``."""
-        if self._spill is not None:
-            self._spill.touch(self, vs)
-        return self._add(vs, payload)
-
-    def _add(self, vs: Timestamp, payload: Payload) -> In3TNode:
-        node, created = self._link(vs, payload)
-        if not created:
+        if self.find(vs, payload) is not None:
             raise KeyError(f"in3t node already exists for ({vs}, {payload!r})")
-        return node
+        return self._file(self._nodes.get(vs), vs, payload)
 
     def find_or_add(self, event) -> In3TNode:
-        """The node for *event*'s key, created if absent.
-
-        A hash probe; only a miss descends the tree, once, to find or
-        link the node (the hot path of Algorithm R4's insert handling).
-        *event* is anything exposing ``vs`` and ``payload`` — an
-        :class:`~repro.temporal.event.Event` or an
-        :class:`~repro.temporal.elements.Insert`.
-        """
+        """The node for the key of *event* (anything exposing ``vs`` and
+        ``payload``), created if absent: a hash probe and, for a new key,
+        a dict insert (the hot path of Algorithm R4's insert handling)."""
         vs = event.vs
         if self._spill is not None:
             self._spill.touch(self, vs)
         bucket = self._nodes.get(vs)
-        if bucket is not None:
-            try:
-                node = bucket.get(event.payload)
-            except TypeError:
-                node = None
-            if node is not None:
-                return node
-        return self._link(vs, event.payload)[0]
+        node = None if bucket is None else _held(bucket, event.payload)
+        return self._file(bucket, vs, event.payload) if node is None else node
 
     def delete(self, node: In3TNode) -> None:
-        """``Delete``: remove *node* from the top tier.
-
-        The node object (and its tiers) is *not* recycled — the caller
-        may still hold it; :meth:`prune_below` and :meth:`remove` recycle.
-        """
-        if not self._tree.delete(node._key):
+        """``Delete``: remove *node* from the top tier.  It is *not*
+        recycled — the caller may still hold it; :meth:`prune_below` and
+        :meth:`remove` recycle."""
+        bucket = self._nodes.get(node.vs)
+        if bucket is None or _held(bucket, node.payload) is not node:
             raise KeyError(f"in3t node not present: {node!r}")
-        self._unhash(node)
+        self._unfile((node,))
 
     def remove(self, nodes: Sequence[In3TNode]) -> None:
         """Retire *nodes* (resident, each once) and recycle their dicts;
         callers must not use them afterwards."""
-        delete = self._tree.delete
+        self._unfile(nodes)
         for node in nodes:
-            delete(node._key)
-            self._retire(node)
+            _recycle(node)
 
     def prune_below(self, t: Timestamp, keep=None) -> int:
-        """Bulk-retire nodes with ``Vs < t`` in one ordered walk.
+        """Bulk-retire (see :meth:`remove`) the nodes with ``Vs < t`` in
+        one ordered walk; returns how many.  ``keep(node)`` returning True
+        retains a node; it runs before any index mutation, so it may
+        reconcile/emit but must not touch the index."""
+        doomed = self.nodes_between(MINUS_INFINITY, t)
+        if keep is not None:
+            doomed = [node for node in doomed if not keep(node)]
+        self.remove(doomed)
+        return len(doomed)
 
-        ``keep(node)`` returning True retains a node; it runs before any
-        tree mutation, so it may reconcile/emit but must not touch the
-        index.  Deleted nodes return their counts dicts to the freelist
-        (callers must not retain references to them).
-
-        Returns the number of nodes removed.
-        """
-        if keep is None:
-            return self._tree.delete_below(
-                (t, _KEY_FLOOR), on_delete=self._retire
-            )
-
-        def _keep(_key: tuple, node: In3TNode) -> bool:
-            return keep(node)
-
-        return self._tree.delete_below(
-            (t, _KEY_FLOOR), keep=_keep, on_delete=self._retire
-        )
+    def _walk(self, keys: Iterable[Timestamp]) -> Iterator[In3TNode]:
+        """The nodes of the Vs values *keys*, each Vs's by ``PayloadKey``."""
+        buckets = self._nodes
+        for vs in keys:
+            bucket = buckets[vs]
+            if len(bucket) == 1:
+                yield from bucket.values()
+            else:
+                yield from sorted(bucket.values(), key=_BY_KEY)
 
     def nodes_between(self, lo: Timestamp, hi: Timestamp) -> List[In3TNode]:
         """Resident nodes with ``lo <= Vs < hi`` in key order."""
-        floor = None if lo == MINUS_INFINITY else (lo, _KEY_FLOOR)
-        return [
-            node
-            for _, node in self._tree.items_between(floor, (hi, _KEY_FLOOR))
-        ]
+        return list(self._walk(self._order.between(lo, hi)))
 
     def half_frozen(self, t: Timestamp) -> List[In3TNode]:
-        """Nodes with ``Vs < t`` in key order (materialized for deletion).
-
-        Faults in any spilled run below *t* first — every returned node
-        is resident.
-        """
+        """Nodes with ``Vs < t`` in key order, spilled runs below *t*
+        faulted in first — every returned node is resident."""
         if self._spill is not None:
             self._spill.fault_in_below(self, t)
-        return [node for _, node in self._tree.items_below((t, _KEY_FLOOR))]
+        return self.nodes_between(MINUS_INFINITY, t)
 
     def nodes(self) -> Iterator[In3TNode]:
-        """All *resident* nodes in ``(Vs, payload)`` order."""
-        return self._tree.values()
+        """All *resident* nodes in ``(Vs, payload)`` order, lazily."""
+        return self._walk(self._order)
 
     def memory_bytes(self) -> int:
         """Resident state bytes (spilled runs live in the store's gauge)."""
-        return sum(node.memory_bytes() for node in self._tree.values())
+        return sum(node.memory_bytes() for node in self.nodes())
 
     # -- spill record protocol (repro.structures.spill) ------------------
 
     @staticmethod
-    def _record_key(record: tuple) -> tuple:
-        return (record[0], PayloadKey(record[1]))
-
-    @staticmethod
     def _to_record(node: In3TNode) -> tuple:
-        return (
-            node.vs,
-            node.payload,
-            {stream: list(tier) for stream, tier in node.counts.items()},
-        )
+        counts = {stream: list(tier) for stream, tier in node.counts.items()}
+        return (node.vs, node.payload, counts)
 
     def _extract_records(self, lo: Timestamp, hi: Timestamp) -> List[tuple]:
-        """Remove nodes with ``lo <= Vs < hi``; return them as records.
-
-        The extracted nodes' counts dicts go back to the freelist — the
-        records carry plain lists/dicts instead.
-        """
-        pairs = self._tree.extract_range((lo, _KEY_FLOOR), (hi, _KEY_FLOOR))
-        records = []
-        for _, node in pairs:
-            records.append(self._to_record(node))
-            self._retire(node)
+        """Remove nodes with ``lo <= Vs < hi``; return them as records
+        (plain lists/dicts: the counts dicts go back to the freelist)."""
+        nodes = self.nodes_between(lo, hi)
+        records = [self._to_record(node) for node in nodes]
+        self.remove(nodes)
         return records
 
     def _insert_records(self, records: List[tuple]) -> None:
-        """Re-materialize extracted/snapshot records (keys must be absent).
-
-        The new nodes may lie behind a stream's last walk, which no range
-        scan revisits, so they go on the touched log.
-        """
+        """Re-materialize extracted/snapshot records (keys must be absent);
+        their new Vs values join the order in one merge.  The nodes may lie
+        behind a stream's last walk, which no range scan revisits, so they
+        go on the touched log."""
+        buckets = self._nodes
+        fresh = {record[0] for record in records}.difference(buckets)
+        self._order.update(fresh)
+        buckets.update((vs, {}) for vs in fresh)
         for vs, payload, counts in records:
-            node = self._add(vs, payload)
+            node = self.add(vs, payload)
             for stream, pairs in counts.items():
-                node.counts[stream] = VeTier(
-                    pairs, sum(count for _, count in pairs)
-                )
+                total = sum(count for _, count in pairs)
+                node.counts[stream] = VeTier(pairs, total)
             self.touched.append(node)
 
     # -- durable state (repro.resilience) -------------------------------
@@ -467,19 +440,18 @@ class In3T:
         Each record is ``(vs, payload, counts)`` where ``counts`` maps
         stream id (or the OUTPUT sentinel, which pickles by identity) to
         its Ve-ordered ``(Ve, count)`` pairs.  Spilled runs are merged in
-        without faulting them back into the tree.
+        without faulting them back into the index.
         """
-        records = [self._to_record(node) for node in self._tree.values()]
+        records = [self._to_record(node) for node in self.nodes()]
         spill = self._spill
         if spill is not None and spill.has_spilled:
             records.extend(spill.peek_records())
-            records.sort(key=self._record_key)
+            records.sort(key=lambda record: (record[0], PayloadKey(record[1])))
         return records
 
     def restore(self, records: List[tuple]) -> None:
         """Rebuild the index from a :meth:`snapshot` (replaces contents)."""
-        self._tree.clear()
-        self._nodes.clear()
+        self.remove(list(self.nodes()))
         del self.touched[:]
         if self._spill is not None:
             self._spill.clear()

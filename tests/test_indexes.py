@@ -176,6 +176,32 @@ class TestIn3T:
         index.delete(node_a)
         assert index.find(5, "A") is None
 
+    def test_retiring_the_oldest_half_costs_chunks_not_keys(self):
+        """4,096 in-order Vs, then one ``remove`` of the oldest 2,048: the
+        ordered Vs set gives them up a chunk at a time, not one
+        front-of-list shift per key."""
+        writes = []
+
+        class Counted(list):
+            def __delitem__(self, at):
+                writes.append(at)
+                super().__delitem__(at)
+
+            def __setitem__(self, at, value):
+                writes.append(at)
+                super().__setitem__(at, value)
+
+        index = In3T()
+        nodes = [index.find_or_add(Event(vs, "A", vs + 1)) for vs in range(4096)]
+        order = index._order
+        order._chunks = Counted(Counted(chunk) for chunk in order._chunks)
+        order._maxes = Counted(order._maxes)
+        chunks_touched = 2048 // order._load + 1
+        index.remove(nodes[:2048])
+        assert [node.vs for node in index.nodes()] == list(range(2048, 4096))
+        assert len(index) == 2048
+        assert 0 < len(writes) <= 4 * chunks_touched
+
     def test_infinite_ve_supported(self):
         index = In3T()
         node = index.find_or_add(Event(5, "A", INFINITY))

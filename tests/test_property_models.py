@@ -15,6 +15,8 @@ from repro.operators.cleanse import Cleanse
 from repro.operators.join import TemporalJoin
 from repro.structures.in2t import In2T
 from repro.structures.in3t import In3T
+from repro.structures.sizing import PayloadKey
+from repro.structures.sortedkeys import SortedKeys
 from repro.temporal.elements import Insert, Stable
 from repro.temporal.event import Event
 from repro.temporal.time import INFINITY
@@ -70,14 +72,82 @@ def test_in2t_matches_dict_model(ops):
             assert node.get_entry(stream) == ve
 
 
-def assert_hash_mirrors_tree(index):
-    """In3T's identity hash holds exactly the tree's nodes, and a Vs has
-    a bucket exactly while it has a node."""
-    in_tree = list(index.nodes())
+def assert_sortedkeys_coherent(order, expected):
+    """The chunks hold *expected* in order, none empty or past twice the
+    load, each one's largest key mirrored."""
+    assert list(order) == expected
+    assert order._maxes == [chunk[-1] for chunk in order._chunks]
+    assert all(0 < len(chunk) <= 2 * order._load for chunk in order._chunks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    load=st.sampled_from([2, 3, 8]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "add", "top", "update", "drop", "between"]),
+            st.integers(0, 60),
+            st.integers(0, 25),  # width of a run / range
+            st.integers(1, 3),   # stride of a run
+        ),
+        max_size=60,
+    ),
+)
+def test_sortedkeys_matches_set_model(load, ops):
+    """SortedKeys against a plain set: appends, inserts inside the window,
+    merged runs, removal of prefixes, whole chunks and scattered keys."""
+    order = SortedKeys(load)
+    model = set()
+    for op, key, width, stride in ops:
+        run = set(range(key, key + width * stride, stride))
+        if op == "add" and key not in model:
+            order.add(key)
+            model.add(key)
+        elif op == "top":
+            key = max(model, default=0) + stride
+            order.add(key)
+            model.add(key)
+        elif op == "update":
+            order.update(run - model)
+            model |= run
+        elif op == "drop":
+            order.discard(sorted(run & model, reverse=True))
+            model -= run
+        elif op == "between":
+            assert order.between(key, key + width) == sorted(
+                k for k in model if key <= k < key + width
+            )
+            assert order.between(-INFINITY, key) == sorted(
+                k for k in model if k < key
+            )
+        assert_sortedkeys_coherent(order, sorted(model))
+    order.discard(list(model))
+    assert_sortedkeys_coherent(order, [])
+
+
+#: Payloads that share a Vs in the In3T model test: natively ordered
+#: ones, and ones only PayloadKey's fallback orders (str / int / tuple).
+_PAYLOADS = ["p0", "p1", 7, 2.5, (1, "x")]
+
+
+def _key_order(key):
+    return key[0], PayloadKey(key[1])
+
+
+def assert_in3t_coherent(index, model=None):
+    """In3T's views agree: a Vs is in the ordered set iff it has a bucket,
+    buckets file exactly the nodes a walk yields, the walk runs in
+    ``(Vs, PayloadKey(payload))`` order — the model's, given one — and
+    ``len`` counts it."""
+    walked = list(index.nodes())
+    assert_sortedkeys_coherent(index._order, sorted(index._nodes))
     hashed = sum(len(bucket) for bucket in index._nodes.values())
-    assert hashed == len(in_tree) == len(index)
-    assert set(index._nodes) == {node.vs for node in in_tree}
-    for node in in_tree:
+    assert hashed == len(walked) == len(index)
+    keys = [(node.vs, node.payload) for node in walked]
+    assert keys == sorted(keys, key=_key_order)
+    if model is not None:
+        assert keys == sorted(model, key=_key_order)
+    for node in walked:
         bucket = index._nodes[node.vs]
         try:
             assert bucket[node.payload] is node
@@ -91,10 +161,13 @@ def assert_hash_mirrors_tree(index):
         st.tuples(
             st.sampled_from(
                 ["inc", "inc", "inc", "dec", "drop", "query", "delete",
-                 "spill", "restore", "prune", "prune_keep"]
+                 "remove", "spill", "restore", "prune", "prune_keep"]
             ),
-            st.integers(0, 4),   # vs
-            st.integers(0, 2),   # payload id
+            # Few enough Vs values that keys collide, enough for the
+            # two-key chunks below to split and merge; a low draw after a
+            # prune lands far behind the window.
+            st.integers(0, 12),  # vs
+            st.integers(0, 4),   # payload id
             st.integers(0, 2),   # stream id
             st.integers(1, 8),   # ve offset
             st.integers(1, 3),   # how many copies
@@ -106,18 +179,20 @@ def test_in3t_matches_counter_model(ops):
     """The flat third tier against a plain ``{ve: count}`` model: counts,
     the maintained total, Ve order, that every mutation forgets the
     verdicts LMR4 caches on the node and logs the node as touched — and,
-    after every operation that adds or removes nodes, that the identity
-    hash and the tree hold the same nodes."""
+    after every operation, that the walk is the model in ``(Vs,
+    PayloadKey)`` order and the ordered Vs set, the buckets and ``len``
+    agree with it (:func:`assert_in3t_coherent`)."""
     from collections import Counter
 
     index = In3T()
+    index._order = SortedKeys(2)  # every few Vs values a chunk boundary
     model = {}  # (vs, payload) -> {stream: Counter(ve)}
 
     def has_events(key, stream):
         return sum((+model[key].get(stream, Counter())).values()) > 0
 
     for op, vs, payload_id, stream, offset, copies in ops:
-        payload = f"p{payload_id}"
+        payload = _PAYLOADS[payload_id]
         key = (vs, payload)
         ve = vs + offset
         if op == "inc":
@@ -164,15 +239,24 @@ def test_in3t_matches_counter_model(ops):
             assert sorted(node.streams()) == sorted(live_streams)
             assert node.is_empty() == (not live_streams)
         elif op == "delete" and key in model:
-            index.delete(index.find(vs, payload))
+            node = index.find(vs, payload)
+            index.delete(node)
+            with pytest.raises(KeyError):
+                index.delete(node)
             del model[key]
+        elif op == "remove":
+            # Every key of a Vs range at once: whole chunks go.
+            doomed = [k for k in model if vs <= k[0] < ve]
+            index.remove([index.find(*k) for k in doomed])
+            for k in doomed:
+                del model[k]
         elif op == "spill":
             # A Vs range leaves as records and comes back as new nodes.
             records = index._extract_records(vs, ve)
             assert [r[:2] for r in records] == sorted(
-                k for k in model if vs <= k[0] < ve
+                (k for k in model if vs <= k[0] < ve), key=_key_order
             )
-            assert_hash_mirrors_tree(index)
+            assert_in3t_coherent(index)
             del index.touched[:]
             index._insert_records(records)
             assert [(n.vs, n.payload) for n in index.touched] == [
@@ -195,8 +279,11 @@ def test_in3t_matches_counter_model(ops):
             assert removed == len(doomed)
             for k in doomed:
                 del model[k]
-        assert_hash_mirrors_tree(index)
+        assert_in3t_coherent(index, model)
         assert (index.find(vs, payload) is not None) == (key in model)
+        assert [(n.vs, n.payload) for n in index.nodes_between(vs, ve)] == sorted(
+            (k for k in model if vs <= k[0] < ve), key=_key_order
+        )
     # The snapshot record is the model, Ve-ordered, emptied tiers included.
     assert index.snapshot() == [
         (
@@ -204,14 +291,15 @@ def test_in3t_matches_counter_model(ops):
             payload,
             {sid: sorted((+c).items()) for sid, c in model[(vs, payload)].items()},
         )
-        for vs, payload in sorted(model)
+        for vs, payload in sorted(model, key=_key_order)
     ]
 
 
 def test_in3t_identity_is_the_trees_where_no_hash_can_tell():
-    """What equals what is the tree's call (``==``, then order).  The
-    hash only short-cuts it: equal payloads it cannot hash, or hashes
-    apart, still name one node — found, not added twice, not a crash."""
+    """What equals what is the call the tree used to make and ``_held``
+    makes now (``==``, then order).  The hash only short-cuts it: equal
+    payloads it cannot hash, or hashes apart, still name one node —
+    found, not added twice, not a crash."""
     index = In3T()
     nan = float("nan")
     pairs = [
@@ -230,21 +318,22 @@ def test_in3t_identity_is_the_trees_where_no_hash_can_tell():
             index.add(vs, theirs)
         assert index.find(vs + 100, theirs) is None
     assert len(index) == len(pairs)
-    assert_hash_mirrors_tree(index)
+    assert_in3t_coherent(index)
     index.restore(index.snapshot())
-    assert_hash_mirrors_tree(index)
+    assert_in3t_coherent(index)
     index.delete(index.find(0, pairs[0][1]))
     assert index.find(0, pairs[0][0]) is None
-    assert_hash_mirrors_tree(index)
+    assert_in3t_coherent(index)
     assert index.prune_below(3) == 2
-    assert_hash_mirrors_tree(index)
+    assert_in3t_coherent(index)
     assert index.prune_below(INFINITY) == 2
     assert index._nodes == {}
 
 
 def test_r4_accepts_unhashable_payloads_like_r3():
-    """A dict payload cannot key In3T's identity hash; the tree finds it
-    — also when the replicas built equal dicts in different key order."""
+    """A dict payload cannot key In3T's identity hash; the bucket search
+    finds it — also when the replicas built equal dicts in different key
+    order."""
     from repro.lmerge import LMergeR3, LMergeR4
     from repro.temporal.elements import Adjust
 
