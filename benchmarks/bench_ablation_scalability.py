@@ -8,7 +8,6 @@ reconcile consults per-input entries) and memory growing by one hash
 entry per node per input.
 """
 
-import json
 import os
 import platform
 import statistics
@@ -37,10 +36,6 @@ SHARD_BACKENDS = ["thread", "process"]
 #: Exchange envelope axis (the PR 6 ablation): ColumnBatch columns vs the
 #: PR 3 object-list micro-batches.
 SHARD_ENVELOPES = ["columnar", "object"]
-
-BENCH_PR6_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_PR6.json"
-)
 
 
 def available_cores() -> int:
@@ -183,9 +178,10 @@ def test_columnar_envelope_series(report):
     """Envelope ablation (the PR 6 tentpole figure): the shard sweep of
     PR 3 rerun with the exchange currency as the axis — ColumnBatch
     columns through shared-memory rings vs pickled object lists through
-    ``mp.Queue`` — plus the single-instance columnar hot path.  Writes
-    BENCH_PR6.json (same shape as BENCH_PR3.json with an ``envelope``
-    field per sweep config).
+    ``mp.Queue`` — plus what a wire-decoded feed costs a single
+    instance (``to_elements`` at the boundary, then ``process_batch``).
+    The table goes into the run's ``--benchmark-json`` file (CI:
+    ``bench-envelope.json``), one ``envelope`` field per sweep config.
 
     The process backend runs unguarded on purpose: a worker crash or a
     ring deadlock must fail this bench, not skip it.
@@ -272,11 +268,6 @@ def test_columnar_envelope_series(report):
                        f"{stats['throughput'] / 1e3:>10.1f}{speedup:>9.2f}")
     results["shard_sweep"]["LMR3+"] = sweep
 
-    with open(BENCH_PR6_PATH, "w") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    report(f"(wrote {os.path.normpath(BENCH_PR6_PATH)})")
-
     # Acceptance: the columnar envelope must not be slower than the
     # object envelope where the object path collapsed — the process
     # backend — at every shard count.  On a single core the comparison
@@ -284,7 +275,7 @@ def test_columnar_envelope_series(report):
     # blocking spends time-slices the lone busy worker needs, while
     # ``mp.Queue``'s semaphores park blocked processes for free.  The
     # bar therefore arms only where workers can actually run in
-    # parallel; the JSON above records the honest numbers either way.
+    # parallel; the table above prints the honest numbers either way.
     if cores >= 2:
         for num_shards in SHARD_COUNTS:
             columnar = speedups[("columnar", "process", num_shards)]
@@ -304,6 +295,7 @@ def test_columnar_envelope_series(report):
         )
     else:
         report(f"(speedup assertion skipped: {cores} core(s) < 4)")
+    return results
 
 
 @pytest.mark.parametrize("envelope", SHARD_ENVELOPES)

@@ -21,10 +21,10 @@ Three configurations per variant:
 Asserted shape: all three produce element-identical output; the
 reclaimed resident index is O(lag window) while the seed's is O(stream);
 reclamation is >= 1.1x seed throughput (the settled prefix is walked
-once instead of once per stable).  Writes BENCH_PR8.json.
+once instead of once per stable).  The table goes into the run's
+``--benchmark-json`` file (CI: ``bench-state.json``).
 """
 
-import json
 import os
 import platform
 import statistics
@@ -39,10 +39,6 @@ from repro.temporal.elements import Insert, Stable
 from repro.temporal.time import INFINITY
 
 from conftest import series_benchmark
-
-BENCH_PR8_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_PR8.json"
-)
 
 VARIANTS = {"LMR3+": LMergeR3, "LMR4": LMergeR4}
 
@@ -125,7 +121,7 @@ def test_state_reclamation_series(report):
            f"{'peak nodes':>12}{'pruned':>9}{'spill/fault':>13}")
     results = {
         "pr": 8,
-        "title": "Bounded merge state: reclamation, pooling, spill",
+        "title": "Bounded merge state: reclamation, spill",
         "environment": {
             "python": platform.python_version(),
             "cores_visible": os.cpu_count() or 1,
@@ -191,10 +187,7 @@ def test_state_reclamation_series(report):
         assert entries["spill"]["faulted_runs"] > 0
         results["variants"][name] = entries
 
-    with open(BENCH_PR8_PATH, "w") as f:
-        json.dump(results, f, indent=2)
-        f.write("\n")
-    report(f"(wrote {os.path.normpath(BENCH_PR8_PATH)})")
+    return results
 
 
 @pytest.mark.parametrize("mode", ["seed", "reclaim", "spill"])

@@ -56,6 +56,8 @@ def series_benchmark(test_fn):
     the ``benchmark`` fixture; the figure sweeps are the deliverable, so
     this decorator wraps them in ``benchmark.pedantic(..., rounds=1)`` —
     they are timed once and their printed series land in the bench log.
+    A series that returns its table as a dict has it recorded under
+    ``extra_info`` in the run's ``--benchmark-json`` file.
     """
     import inspect
 
@@ -68,9 +70,11 @@ def series_benchmark(test_fn):
 
     def wrapper(**kwargs):
         benchmark = kwargs.pop("benchmark")
-        benchmark.pedantic(
+        results = benchmark.pedantic(
             lambda: test_fn(**kwargs), rounds=1, iterations=1
         )
+        if results:
+            benchmark.extra_info.update(results)
 
     wrapper.__name__ = test_fn.__name__
     wrapper.__doc__ = test_fn.__doc__
@@ -260,11 +264,12 @@ def run_merge_columnar(
     """Columnar counterpart of :func:`run_merge_batched`.
 
     Identical interleaving and batch size, but each micro-batch is a
-    :class:`~repro.engine.columnar.ColumnBatch` driven through
-    ``process_columns`` — the vectorized column walk.  Batches are built
-    outside the clock (mirroring the batched driver's pre-chunking): the
-    figure isolates merge-side cost, as ``from_elements`` is charged to
-    the producer in the exchange benches.
+    wire-decoded :class:`~repro.engine.columnar.ColumnBatch` driven
+    through ``process_columns``, so the clock covers what a worker pays
+    on top of ``process_batch``: materializing the rows.  Batches are
+    encoded and decoded outside the clock (mirroring the batched
+    driver's pre-chunking); ``from_elements`` / ``encode`` are charged
+    to the producer in the exchange benches.
     """
     import time
 
@@ -275,7 +280,10 @@ def run_merge_columnar(
         if not merge.is_attached(stream_id):
             merge.attach(stream_id)
     chunks = [
-        (ColumnBatch.from_elements(list(chunk)), stream_id)
+        (
+            ColumnBatch.decode(ColumnBatch.from_elements(list(chunk)).encode()),
+            stream_id,
+        )
         for chunk, stream_id in interleave_batches(
             streams, schedule, 0, batch_size
         )

@@ -13,8 +13,7 @@ Coordinated passes (see the submodules for detail):
 3. **Repo lint** (:mod:`repro.analysis.lint`) — AST + dataflow rules
    (REP101…REP113) encoding engine invariants: replayability,
    punctuation handling, element immutability, slotted layouts, no
-   blocking inside ring reserve/commit windows, no pooled-object
-   escapes, no unused suppressions;
+   blocking inside ring reserve/commit windows, no unused suppressions;
 4. **Ring-protocol verification** (:mod:`repro.analysis.protocol`) —
    statically check every :class:`ShmRing` ``put``/``get`` site against
    the declared :data:`FRAME_PROTOCOL` (producer role, terminal-ness,

@@ -2,12 +2,11 @@
 
 PR 5's rules were single-pass AST walks: fine for "no ``print``", but
 the concurrency invariants PRs 6-9 introduced are *path* properties — "no
-blocking call **between** a ring-slot reserve and its commit", "a pooled
-node must not **escape** the function", "every path through an except
-handler re-raises or emits punctuation".  Those need a control-flow
-graph and a fixpoint, not a walk.  This module provides both, plus the
-shared per-module cache that keeps the growing rule count at one parse
-(and one CFG build per function) per module:
+blocking call **between** a ring-slot reserve and its commit", "every
+path through an except handler re-raises or emits punctuation".  Those
+need a control-flow graph and a fixpoint, not a walk.  This module
+provides both, plus the shared per-module cache that keeps the growing
+rule count at one parse (and one CFG build per function) per module:
 
 * :func:`build_cfg` — a statement-level CFG for one function body:
   basic blocks, branch/loop/try edges, explicit entry/exit.  ``try``

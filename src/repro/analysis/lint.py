@@ -31,19 +31,16 @@ REP105   error     No bare ``print`` in library code under ``src/`` —
                    (``__main__.py``, ``cli.py``) are exempt.
 REP106   warning   No mutable default arguments (``def f(x=[])``).
 REP107   error     Columnar hot paths must stay columnar: inside the
-                   batch handlers of engine/operators/lmerge code
-                   (``receive_columns``, ``process_columns``,
-                   ``_insert_columns``, ...), do not loop over a
+                   exchange handlers of engine/operators code
+                   (``receive_columns``, ``emit_columns``,
+                   ``partition_columns``), do not loop over a
                    ``ColumnBatch`` row by row — no ``for e in batch``
                    and no iteration over ``batch.to_elements()`` /
                    ``batch.elements_slice(...)``.  Walk the columns
                    (``batch.vs``/``batch.kinds``/``batch.runs()``) and
-                   materialize only surviving rows.
-REP108   error     Index node allocation is pooled: no bare
-                   ``_Node(...)`` / ``In2TNode(...)`` / ``In3TNode(...)``
-                   outside the module that defines the class — construct
-                   through the owning index (or the rbtree node pool) so
-                   reclamation can recycle what it retires.
+                   materialize only surviving rows.  The merge's
+                   ``process_columns`` is the decode boundary and is
+                   not a columnar handler.
 REP109   error     Registry instrument lookups stay out of hot loops: a
                    ``registry.counter/gauge/histogram/timeseries(...)``
                    call inside a ``for``/``while`` body (or a
@@ -58,12 +55,6 @@ REP110   error     No blocking calls (bare lock ``.acquire()``, untimed
                    storage) and its commit/release — tracked through
                    branches by the CFG dataflow in
                    :mod:`repro.analysis.flow`.
-REP111   error     Pool escape: an object acquired from a freelist
-                   (``NODE_POOL.acquire()``, ``pool.acquire()``) must
-                   not be stored into an attribute, subscript, or
-                   container outside the module that defines the pooled
-                   class — the pool recycles it, and an escaped alias
-                   becomes a use-after-release.
 REP112   error     Exception handlers in hot paths must not swallow
                    punctuation: an ``except`` wrapping a ``Stable`` emit
                    must re-raise or emit — silently dropping the stable
@@ -572,15 +563,8 @@ def _check_mutable_default(ctx: ModuleContext) -> List[_RawFinding]:
 #: Hot-path handler names whose bodies REP107 inspects.
 COLUMNAR_HOT_FUNCS = {
     "receive_columns",
-    "process_columns",
     "emit_columns",
-    "_insert_columns",
-    "_adjust_columns",
-    "_stable_columns",
-    "_insert_batch",
-    "_adjust_batch",
-    "_stable_batch",
-    "receive_batch",
+    "partition_columns",
 }
 
 #: ColumnBatch boundary converters whose results must not be looped over
@@ -644,46 +628,6 @@ def _check_columnar_loops(ctx: ModuleContext) -> List[_RawFinding]:
                         f"materialize only surviving rows",
                     )
                 )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# REP108 — pooled index node classes are only constructed in their home module
-# ---------------------------------------------------------------------------
-
-#: Classes whose instances are recycled through freelists (see
-#: repro.structures.pool): constructing one elsewhere bypasses the pool
-#: and, worse, can alias an object the index later recycles.
-POOLED_NODE_CLASSES = {"_Node", "In2TNode", "In3TNode"}
-
-
-def _check_bare_node_alloc(ctx: ModuleContext) -> List[_RawFinding]:
-    # The defining module is exempt: a file that holds `class In2TNode`
-    # IS the pool-aware home of that class (rbtree.py for _Node, etc.).
-    defined_here = {
-        node.name
-        for node in ctx.walk(ast.ClassDef)
-        if node.name in POOLED_NODE_CLASSES
-    }
-    findings: List[_RawFinding] = []
-    for node in ctx.walk(ast.Call):
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in POOLED_NODE_CLASSES and name not in defined_here:
-            findings.append(
-                _RawFinding(
-                    node.lineno,
-                    node.col_offset,
-                    f"bare {name}(...) outside its defining module: index "
-                    f"nodes are pool-recycled — go through the owning "
-                    f"index's add/find_or_add (or NODE_POOL.acquire) "
-                    f"instead",
-                )
-            )
     return findings
 
 
@@ -798,14 +742,10 @@ HOT_HANDLER_NAMES = {
     "_insert_batch",
     "_adjust_batch",
     "_stable_batch",
-    "_insert_columns",
-    "_adjust_columns",
-    "_stable_columns",
 }
 
 #: Receiver-name fragments identifying a lock-like object whose
-#: ``.acquire()`` blocks.  Pool/freelist ``acquire`` is allocation, not
-#: synchronization, and stays legal.
+#: ``.acquire()`` blocks.
 _LOCK_RECEIVER_HINTS = ("lock", "mutex", "sem", "cond")
 
 #: Receiver-name fragments identifying a channel whose zero-argument
@@ -959,155 +899,6 @@ def _check_blocking_calls(ctx: ModuleContext) -> List[_RawFinding]:
 
 
 # ---------------------------------------------------------------------------
-# REP111 — pooled objects must not escape their function
-# ---------------------------------------------------------------------------
-
-#: Receiver fragments identifying a freelist-style allocator.
-_POOL_RECEIVER_HINTS = ("pool", "free_list", "freelist")
-
-#: Escaping container methods: storing the pooled object somewhere that
-#: outlives the function frame.
-_ESCAPE_METHODS = {"append", "add", "insert", "push", "appendleft", "extend"}
-
-
-def _is_pool_acquire(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "acquire"
-        and any(
-            hint in receiver_text(node.func.value)
-            for hint in _POOL_RECEIVER_HINTS
-        )
-    )
-
-
-class _PoolTaint(ForwardAnalysis):
-    """Dataflow: which local names alias a pool-acquired object?"""
-
-    def initial(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a | b
-
-    def transfer(
-        self, state: FrozenSet[str], statement: ast.stmt
-    ) -> FrozenSet[str]:
-        if not isinstance(statement, ast.Assign):
-            return state
-        value = statement.value
-        tainted_value = _is_pool_acquire(value) or (
-            isinstance(value, ast.Name) and value.id in state
-        )
-        live = set(state)
-        for target in statement.targets:
-            if isinstance(target, ast.Name):
-                if tainted_value:
-                    live.add(target.id)
-                else:
-                    live.discard(target.id)  # strong update: rebound
-        return frozenset(live)
-
-
-def _pool_exempt_module(ctx: ModuleContext) -> bool:
-    """Modules that own the pooled lifecycle: those defining a pooled
-    node class or the freelist itself may store pool objects into their
-    index structures — that IS the pool discipline."""
-    for node in ctx.walk(ast.ClassDef):
-        if node.name in POOLED_NODE_CLASSES or node.name == "FreeList":
-            return True
-    return False
-
-
-def _check_pool_escape(ctx: ModuleContext) -> List[_RawFinding]:
-    if _pool_exempt_module(ctx):
-        return []
-    findings: List[_RawFinding] = []
-    for info in ctx.functions:
-        function = info.node
-        if not any(
-            _is_pool_acquire(node) for node in ast.walk(function)
-        ):
-            continue
-        cfg = ctx.cfg(function)
-        _, statement_in = _PoolTaint().run(cfg)
-        analysis = _PoolTaint()
-        for block in cfg.blocks:
-            for statement in block.statements:
-                before = statement_in.get(id(statement), frozenset())
-                # The state *after* this statement catches the
-                # single-statement idiom `x = pool.acquire()` followed
-                # by an escape in the same statement list.
-                after = analysis.transfer(before, statement)
-                findings.extend(
-                    _escapes_in(statement, before | after)
-                )
-    return findings
-
-
-def _escapes_in(
-    statement: ast.stmt, tainted: FrozenSet[str]
-) -> List[_RawFinding]:
-    findings: List[_RawFinding] = []
-
-    def names_in(node: ast.expr) -> Set[str]:
-        return {
-            sub.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and sub.id in tainted
-        }
-
-    if isinstance(statement, ast.Assign):
-        escaped = names_in(statement.value)
-        if _is_pool_acquire(statement.value):
-            escaped = escaped | {"<acquire() result>"}
-        if escaped:
-            for target in statement.targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    where = (
-                        "an attribute"
-                        if isinstance(target, ast.Attribute)
-                        else "a container"
-                    )
-                    findings.append(
-                        _RawFinding(
-                            statement.lineno,
-                            statement.col_offset,
-                            f"pool-acquired object "
-                            f"{sorted(escaped)[0]!r} stored into {where} "
-                            f"that outlives this function; the pool will "
-                            f"recycle it — release it here or construct "
-                            f"an unpooled object",
-                        )
-                    )
-    for node in shallow_walk(statement):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _ESCAPE_METHODS
-        ):
-            escaped = set()
-            for argument in node.args:
-                escaped |= names_in(argument)
-                if _is_pool_acquire(argument):
-                    escaped.add("<acquire() result>")
-            if escaped:
-                findings.append(
-                    _RawFinding(
-                        node.lineno,
-                        node.col_offset,
-                        f"pool-acquired object {sorted(escaped)[0]!r} "
-                        f"passed to .{node.func.attr}(...) on a "
-                        f"container that outlives this function; the "
-                        f"pool will recycle it — release it here or "
-                        f"construct an unpooled object",
-                    )
-                )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # REP112 — except handlers must not swallow punctuation
 # ---------------------------------------------------------------------------
 
@@ -1257,22 +1048,10 @@ RULES: Dict[str, Rule] = {
             "hot handlers",
             applies=_in_hot_path,
             check=_check_columnar_loops,
-            detail="columnar hot handlers (`receive_columns`, "
-            "`process_columns`, `_insert_columns`, ...) must not loop "
+            detail="columnar exchange handlers (`receive_columns`, "
+            "`emit_columns`, `partition_columns`) must not loop "
             "over a `ColumnBatch` row by row — walk the columns and "
             "materialize only surviving rows",
-        ),
-        Rule(
-            id="REP108",
-            severity=SEVERITY_ERROR,
-            summary="pooled index node classes are only constructed in "
-            "their defining module",
-            applies=_always,
-            check=_check_bare_node_alloc,
-            detail="pooled index node classes (`_Node`, `In2TNode`, "
-            "`In3TNode`) are only constructed in their defining module "
-            "— go through the owning index so reclamation can recycle "
-            "nodes",
         ),
         Rule(
             id="REP109",
@@ -1303,21 +1082,6 @@ RULES: Dict[str, Rule] = {
             "one blocked element handler stalls the whole shard, and a "
             "blocked reserve stalls the ring's consumer too (CFG "
             "dataflow tracks the window across branches)",
-        ),
-        Rule(
-            id="REP111",
-            severity=SEVERITY_ERROR,
-            summary="pool-acquired objects must not escape their "
-            "function outside pool-owning modules",
-            applies=_always,
-            check=_check_pool_escape,
-            detail="an object acquired from a freelist "
-            "(`NODE_POOL.acquire()`, `pool.acquire()`) must not be "
-            "stored into an attribute, subscript, or container that "
-            "outlives the function, outside the modules that define "
-            "the pooled classes — the pool recycles released objects, "
-            "so an escaped alias becomes a use-after-release "
-            "(taint-tracked through local aliases by the CFG dataflow)",
         ),
         Rule(
             id="REP112",

@@ -1,6 +1,6 @@
 """Struct-of-arrays stream batches: the columnar hot-path currency.
 
-``BENCH_PR3.json`` recorded the cost of shipping micro-batches as lists
+PR 3's shard sweep recorded the cost of shipping micro-batches as lists
 of per-element ``Insert``/``Adjust`` objects: the process backend paid a
 pickle round-trip per element and collapsed to 0.09-0.41x of the batched
 baseline.  :class:`ColumnBatch` replaces the object envelope with
@@ -13,9 +13,10 @@ payload arena, so that
   shared-memory ring (:mod:`repro.engine.shm`) — a memcpy per column,
   never a pickle of an object graph (payload bytes are encoded once per
   batch into the arena);
-* the merge hot paths (``LMergeBase.process_columns`` and the vectorized
-  ``_insert_columns`` overloads in LMR1/LMR3+) walk the columns directly
-  and materialize element objects only for the rows they actually emit.
+* the receiving merge decodes a batch to element objects once, in bulk
+  (``LMergeBase.process_columns`` is ``to_elements`` plus
+  ``process_batch``): columns are the wire format and the partitioner's
+  gather, not a second execution engine.
 
 Layout
 ------
@@ -269,13 +270,6 @@ class ColumnBatch:
         paths should walk the columns or :meth:`runs` instead)."""
         return iter(self.to_elements())
 
-    def payload(self, i: int):
-        """Row *i*'s payload object (``None`` for stable rows)."""
-        payloads = self._payloads
-        if payloads is None:
-            payloads = self._materialize_payloads()
-        return payloads[self._pstart + i]
-
     @property
     def payloads(self) -> list:
         """Every row's payload object; lazily decoded from the arena."""
@@ -296,37 +290,14 @@ class ColumnBatch:
         self._payloads = decoded
         return decoded
 
-    @property
-    def has_materialized_elements(self) -> bool:
-        """True when every row already exists as an element object (an
-        in-process ``from_elements`` batch or a converted one).  Consumers
-        with an object fast path can then take ``to_elements`` for free
-        instead of walking the columns; wire-decoded batches return False
-        until converted."""
-        return self._elements is not None
-
-    def element_at(self, i: int) -> Element:
-        """Materialize row *i* as an element object."""
-        elements = self._elements
-        if elements is not None:
-            return elements[self._estart + i]
-        kind = self.kinds[i]
-        if kind == KIND_INSERT:
-            return Insert(self.payload(i), self.vs[i], self.ve[i])
-        if kind == KIND_STABLE:
-            return Stable(self.vs[i])
-        v_old = self.v_old
-        assert v_old is not None
-        return Adjust(self.payload(i), self.vs[i], v_old[i], self.ve[i])
-
     def elements_slice(self, start: int, stop: int) -> Sequence[Element]:
         """Rows ``[start, stop)`` as element objects (boundary converter).
 
         Bulk conversion: per same-kind run, the numeric columns drop to
         lists in one C-level ``tolist`` each and the constructors run
-        under ``map`` — measured ~2x faster than a per-row
-        ``element_at`` loop, which matters because every wire-decoded
-        batch that reaches a sink crosses this boundary.
+        under ``map`` — measured ~2x faster than building elements row
+        by row, which matters because every wire-decoded batch crosses
+        this boundary.
         """
         elements = self._elements
         if elements is not None:

@@ -20,8 +20,8 @@ Orthogonally to the backend, ``envelope`` selects the exchange currency:
   PR3-era path; the process backend pickles the object graph per hop);
 * ``envelope="columnar"`` — micro-batches travel as
   :class:`~repro.engine.columnar.ColumnBatch`.  Serial and thread
-  backends pass the batch by reference and the worker runs the merge's
-  vectorized ``process_columns`` path; the process backend swaps the
+  backends pass the batch by reference and the worker hands it to the
+  merge's ``process_columns``; the process backend swaps the
   pickled queues for :class:`~repro.engine.shm.ShmRing` shared-memory
   rings and ships the batch's fixed-header binary encoding — a memcpy
   per column instead of a pickle per element.  Control messages travel

@@ -31,14 +31,7 @@ from typing import (
 from repro.obs.trace import NULL_TRACER
 from repro.streams.properties import Restriction
 from repro.streams.stream import PhysicalStream
-from repro.temporal.elements import (
-    KIND_INSERT,
-    KIND_STABLE,
-    Adjust,
-    Element,
-    Insert,
-    Stable,
-)
+from repro.temporal.elements import Adjust, Element, Insert, Stable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.engine.columnar import ColumnBatch
@@ -164,8 +157,8 @@ class _VsColumn:
     """The Vs column of a run of element objects, read on demand.
 
     Lets ``bisect`` search a run by ``Vs`` with O(lg b) element reads
-    (``bisect(..., key=)`` needs Python 3.10).  The ordered variants'
-    insert kernels take either this or a ``ColumnBatch.vs`` memoryview.
+    (``bisect(..., key=)`` needs Python 3.10); the ordered variants'
+    insert kernels search a run through it.
     """
 
     __slots__ = ("_run",)
@@ -544,122 +537,15 @@ class LMergeBase:
     ) -> None:
         """Feed a :class:`~repro.engine.columnar.ColumnBatch` slice.
 
-        The columnar counterpart of :meth:`process_batch`: runs of
-        same-kind rows are found with C-level scans over the kind column
-        and dispatched to ``_insert_columns``/``_adjust_columns``/
-        ``_stable_columns``.  The default handlers materialize the run
-        and delegate to the batched object path, so every variant
-        accepts columns; LMR0-2 and LMR3+ override ``_insert_columns``
-        with fast paths that work on the columns directly and
-        materialize only the rows they emit.  Output equivalence with
-        :meth:`process_batch` over ``batch.to_elements()`` is asserted
-        by the columnar property tests.
-
-        Adaptive dispatch: a batch whose rows already exist as element
-        objects (in-process ``from_elements`` envelopes on the serial
-        and thread backends) goes straight to :meth:`process_batch` —
-        the object fast path is cheaper when there is nothing to
-        materialize.  The column walk is the win where it avoids
-        building objects: wire-decoded batches on the process backend.
+        Columns are the exchange's wire format, not a second way to run
+        the merge: the batch is decoded once at this boundary
+        (``to_elements`` — free for an in-process ``from_elements``
+        envelope, one bulk conversion for a wire-decoded one) and handed
+        to :meth:`process_batch`, the one batch path.
         """
-        if batch.has_materialized_elements:
-            return self.process_batch(
-                batch.to_elements(),
-                stream_id,
-                coalesce_stables=coalesce_stables,
-            )
-        state = self._inputs.get(stream_id)
-        if state is None:
-            raise InputStateError(
-                f"batch from unattached stream {stream_id!r}"
-            )
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
-            out_before = len(self.output)
-        insert_columns = self._insert_columns
-        adjust_columns = self._adjust_columns
-        stable_columns = self._stable_columns
-        for kind, start, stop in batch.runs():
-            if kind == KIND_INSERT:
-                insert_columns(batch, start, stop, stream_id, state)
-            elif kind == KIND_STABLE:
-                stable_columns(
-                    batch, start, stop, stream_id, state, coalesce_stables
-                )
-            else:
-                adjust_columns(batch, start, stop, stream_id, state)
-        if traced:
-            tracer.record(
-                "process_columns", self.name,
-                stream=str(stream_id), n=len(batch),
-                out=len(self.output) - out_before,
-                stable=self.max_stable,
-            )
-
-    def _insert_columns(
-        self,
-        batch: "ColumnBatch",
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-    ) -> None:
-        """Process an insert run from columns; the default materializes
-        the run once and reuses the batched object fast path."""
-        self._insert_batch(
-            batch.elements_slice(start, stop), stream_id, state, False
+        self.process_batch(
+            batch.to_elements(), stream_id, coalesce_stables=coalesce_stables
         )
-
-    def _adjust_columns(
-        self,
-        batch: "ColumnBatch",
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-    ) -> None:
-        """Process an adjust run from columns (materialize + delegate)."""
-        self._adjust_batch(
-            batch.elements_slice(start, stop), stream_id, state, False
-        )
-
-    def _stable_columns(
-        self,
-        batch: "ColumnBatch",
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-        coalesce_stables: bool,
-    ) -> None:
-        """Process a stable run directly from the Vc column.
-
-        Fully columnar for every variant: punctuation carries no payload,
-        so no element objects are needed at all.  Mirrors
-        :meth:`_stable_batch` (including the coalescing rule and the
-        still-joining suppression) over ``batch.vs[start:stop]``.
-        """
-        count = stop - start
-        self.stats.stables_in += count
-        vcs = batch.vs
-        if coalesce_stables:
-            vc = vcs[start]
-            for i in range(start + 1, stop):
-                if vcs[i] > vc:
-                    vc = vcs[i]
-            self._note_stable(state, stream_id, vc)
-            if self.max_stable >= state.guarantee_from:
-                self._stable(vc, stream_id)
-            return
-        guarantee = state.guarantee_from
-        _stable = self._stable
-        _note = self._note_stable
-        for i in range(start, stop):
-            vc = vcs[i]
-            _note(state, stream_id, vc)
-            if self.max_stable >= guarantee:
-                _stable(vc, stream_id)
 
     # ------------------------------------------------------------------
     # Output emission

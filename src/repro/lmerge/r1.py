@@ -100,17 +100,6 @@ class LMergeR1(LMergeBase):
             _VsColumn(run), 0, len(run), stream_id, lambda a, b: run[a:b]
         )
 
-    def _insert_columns(
-        self,
-        batch,
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-    ) -> None:
-        # Only surviving rows are materialised, in one boundary conversion.
-        self._admit(batch.vs, start, stop, stream_id, batch.elements_slice)
-
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")
 

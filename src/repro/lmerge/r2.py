@@ -100,16 +100,6 @@ class LMergeR2(LMergeBase):
     ) -> None:
         self._admit(_VsColumn(run), 0, len(run), lambda a, b: run[a:b])
 
-    def _insert_columns(
-        self,
-        batch,
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-    ) -> None:
-        self._admit(batch.vs, start, stop, batch.elements_slice)
-
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")
 

@@ -60,21 +60,19 @@ class LMergeR3(LMergeBase):
     # ------------------------------------------------------------------
 
     def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        node = self._index.find(element.vs, element.payload)
-        if node is None:
-            if element.vs < self.max_stable:
+        if element.vs < self.max_stable:
+            node = self._index.find(element.vs, element.payload)
+            if node is None:
                 # The key was frozen and its node retired; this input is
                 # merely behind (Section V-C: already output, or dropped).
+                # A frozen key must not be materialized again.
                 self.dropped_frozen += 1
                 return
-            node = self._index.add(element.to_event())
-            node.add_entry(stream_id, element.ve)
-            if self._emit_now(node, stream_id):
-                self._place_on_output(node, element.ve)
         else:
-            node.add_entry(stream_id, element.ve)
-            if node.get_entry(OUTPUT) is None and self._emit_now(node, stream_id):
-                self._place_on_output(node, element.ve)
+            node, _ = self._index.find_or_add(element)
+        node.add_entry(stream_id, element.ve)
+        if node.get_entry(OUTPUT) is None and self._emit_now(node, stream_id):
+            self._place_on_output(node, element.ve)
 
     def _emit_now(self, node: In2TNode, stream_id: StreamId) -> bool:
         """Location-2 policy: should this key be placed on the output?"""
@@ -100,13 +98,12 @@ class LMergeR3(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path over the per-element _insert: a single tree descent
-        # per element (find_or_add) instead of find + add, the default
-        # FIRST policy short-circuited out of the loop, hash entries
-        # written directly, and survivors emitted in one extend.  Frozen
-        # keys (Vs < MaxStable) must not be materialized, so they take
-        # the find-only branch.  An emitted input element is value-equal
-        # to the Insert _place_on_output would build.
+        # Fast path over the per-element _insert: the default FIRST
+        # policy short-circuited out of the loop, hash entries written
+        # directly, and survivors emitted in one extend.  Frozen keys
+        # (Vs < MaxStable) must not be materialized, so they take the
+        # find-only branch.  An emitted input element is value-equal to
+        # the Insert _place_on_output would build.
         self.stats.inserts_in += len(run)
         index = self._index
         find = index.find
@@ -140,58 +137,6 @@ class LMergeR3(LMergeBase):
         if out:
             self.stats.inserts_out += len(out)
             self._emit_batch(out)
-
-    def _insert_columns(
-        self,
-        batch,
-        start: int,
-        stop: int,
-        stream_id: StreamId,
-        state: _InputState,
-    ) -> None:
-        # Columnar fast path: the single-descent discipline of
-        # _insert_batch applied straight to the Vs/Ve columns and the
-        # payload list — no Insert object exists for a row unless it is
-        # emitted, and emission materializes survivors through the
-        # batch's boundary converter in one pass.
-        self.stats.inserts_in += stop - start
-        index = self._index
-        find = index.find
-        find_or_add_key = index.find_or_add_key
-        max_stable = self.max_stable
-        emit_first = self.policy.insert is InsertPropagation.FIRST
-        emit_now = self._emit_now
-        output_key = OUTPUT
-        vs_col = batch.vs
-        ve_col = batch.ve
-        payloads = batch.payloads
-        dropped = 0
-        emit_rows: List[int] = []
-        keep = emit_rows.append
-        for i in range(start, stop):
-            vs = vs_col[i]
-            payload = payloads[i]
-            if vs < max_stable:
-                node = find(vs, payload)
-                if node is None:
-                    dropped += 1
-                    continue
-            else:
-                node = find_or_add_key(vs, payload, ve_col[i])
-            ve = ve_col[i]
-            entries = node.entries
-            entries[stream_id] = ve
-            if output_key not in entries and (
-                emit_first or emit_now(node, stream_id)
-            ):
-                keep(i)
-                entries[output_key] = ve
-        if dropped:
-            self.dropped_frozen += dropped
-        if emit_rows:
-            self.stats.inserts_out += len(emit_rows)
-            element_at = batch.element_at
-            self._emit_batch([element_at(i) for i in emit_rows])
 
     # ------------------------------------------------------------------
     # Adjust (lines 11-14, plus the EAGER alternative of Section V-A)

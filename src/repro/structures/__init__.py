@@ -16,8 +16,7 @@ orders only their distinct Vs values, in
 containers are used anywhere in this repository).
 """
 
-from repro.structures.rbtree import RedBlackTree, node_pool_stats
-from repro.structures.pool import FreeList
+from repro.structures.rbtree import RedBlackTree
 from repro.structures.in2t import In2T, In2TNode, OUTPUT
 from repro.structures.in3t import In3T, In3TNode
 from repro.structures.spill import RunSpill
@@ -29,9 +28,7 @@ from repro.structures.sizing import (
 
 __all__ = [
     "RedBlackTree",
-    "FreeList",
     "RunSpill",
-    "node_pool_stats",
     "In2T",
     "In2TNode",
     "In3T",

@@ -7,8 +7,7 @@ stream has reported for this event, plus one entry under the sentinel key
 :data:`OUTPUT` holding the Ve most recently placed on the output.
 
 Reclamation (PR 8): :meth:`In2T.prune_below` bulk-retires a frozen/settled
-prefix in one tree walk, recycling both the rbtree nodes and the
-second-tier dicts through freelists; :meth:`In2T.enable_spill` attaches a
+prefix in one tree walk; :meth:`In2T.enable_spill` attaches a
 :class:`~repro.structures.spill.RunSpill` that evicts cold, output-agreed
 runs to a durable store and faults them back in on touch.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional
 
-from repro.structures.pool import FreeList
 from repro.structures.rbtree import RedBlackTree
 from repro.structures.sizing import (
     HASH_ENTRY_OVERHEAD,
@@ -31,10 +29,6 @@ from repro.temporal.time import Timestamp
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.structures.spill import RunSpill
-
-#: Freelist of second-tier Ve dicts: a pruned node's entries dict becomes
-#: the next inserted node's, so settled churn allocates no dicts.
-_ENTRY_DICTS = FreeList(dict, dict.clear)
 
 
 class _Output:
@@ -72,7 +66,7 @@ class In2TNode:
     def __init__(self, event: Event, key: tuple):
         self.event = event
         #: stream id (or OUTPUT) -> current Ve on that stream.
-        self.entries: Dict[StreamId, Timestamp] = _ENTRY_DICTS.acquire()
+        self.entries: Dict[StreamId, Timestamp] = {}
         self._key = key
 
     @property
@@ -184,31 +178,8 @@ class In2T:
             tree_node.value = In2TNode(insert.to_event(), key)
         return tree_node.value, created
 
-    def find_or_add_key(
-        self, vs: Timestamp, payload: Payload, ve: Timestamp
-    ) -> In2TNode:
-        """Columnar variant of :meth:`find_or_add`: raw columns in, node out.
-
-        One tree descent; the :class:`Event` is materialized only when the
-        node is new, so a hit never allocates.  Used by the batch hot path
-        that reads ``(vs, payload, ve)`` straight out of a
-        :class:`~repro.engine.columnar.ColumnBatch` without ever building
-        an :class:`~repro.temporal.elements.Insert`.
-        """
-        if self._spill is not None:
-            self._spill.touch(self, vs)
-        key = (vs, PayloadKey(payload))
-        tree_node, created = self._tree.get_or_reserve(key)
-        if created:
-            tree_node.value = In2TNode(Event(vs, payload, ve), key)
-        return tree_node.value
-
     def delete(self, node: In2TNode) -> None:
-        """``DeleteNode``: remove *node* from the top tier.
-
-        The node object (and its entries dict) is *not* recycled — the
-        caller may still hold it; only :meth:`prune_below` recycles.
-        """
+        """``DeleteNode``: remove *node* from the top tier."""
         if not self._tree.delete(node._key):
             raise KeyError(f"in2t node not present: {node!r}")
 
@@ -217,28 +188,15 @@ class In2T:
 
         ``keep(node)`` returning True retains a node; it runs before any
         tree mutation, so it may reconcile/emit but must not touch the
-        index.  Deleted nodes have their second-tier dicts recycled into
-        the entry freelist (callers must not retain references to them).
-        Spilled runs are deliberately *not* faulted in — the merge
-        resolves them via :meth:`RunSpill.resolve_stable` first.
+        index.  Spilled runs are deliberately *not* faulted in — the
+        merge resolves them via :meth:`RunSpill.resolve_stable` first.
 
         Returns the number of nodes removed.
         """
-        release = _ENTRY_DICTS.release
-
-        def _recycle(node: In2TNode) -> None:
-            release(node.entries)
-
         if keep is None:
-            return self._tree.delete_below(
-                (t, _KEY_FLOOR), on_delete=_recycle
-            )
-
-        def _keep(_key: tuple, node: In2TNode) -> bool:
-            return keep(node)
-
+            return self._tree.delete_below((t, _KEY_FLOOR))
         return self._tree.delete_below(
-            (t, _KEY_FLOOR), keep=_keep, on_delete=_recycle
+            (t, _KEY_FLOOR), keep=lambda _key, node: keep(node)
         )
 
     def half_frozen(self, t: Timestamp) -> List[In2TNode]:

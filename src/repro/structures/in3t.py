@@ -25,8 +25,8 @@ Each node carries what the last ``stable()`` visit learned about it
 (:attr:`In3TNode.reconciled`, :attr:`In3TNode.agreement`); a mutation
 forgets both and logs the node on :attr:`In3T.touched`, so LMR4 looks only
 at nodes that changed (docs/ALGORITHMS.md).  Reclamation (PR 8) is
-:meth:`In3T.prune_below`, which recycles the counts dicts through a
-freelist, and :meth:`In3T.enable_spill` for cold, output-agreed runs.
+:meth:`In3T.prune_below`, and :meth:`In3T.enable_spill` for cold,
+output-agreed runs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import (
 )
 
 from repro.structures.in2t import OUTPUT, StreamId
-from repro.structures.pool import FreeList
 from repro.structures.sizing import (
     HASH_ENTRY_OVERHEAD,
     TIMESTAMP_BYTES,
@@ -60,9 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.structures.spill import RunSpill
 
 _BY_KEY = attrgetter("_key")
-
-#: Freelist of second-tier counts dicts (stream id -> Ve tier).
-_COUNT_DICTS = FreeList(dict, dict.clear)
 
 
 class VeTier(list):
@@ -101,9 +97,9 @@ class In3TNode:
     ):
         self.vs = vs
         self.payload = payload
-        #: ``None`` once the node has left the index for good: its dict is
-        #: back on the freelist, and any further use fails on the spot.
-        self.counts: Dict[StreamId, VeTier] = _COUNT_DICTS.acquire()
+        #: ``None`` once the node has left the index for good: any
+        #: further use fails on the spot.
+        self.counts: Dict[StreamId, VeTier] = {}
         self._key = key
         #: The owning index's touched log (see :meth:`_forget`).
         self._touched = touched
@@ -216,17 +212,6 @@ class In3TNode:
     def __repr__(self) -> str:  # pragma: no cover
         counts = {str(stream): dict(tier) for stream, tier in self.counts.items()}
         return f"In3TNode(vs={self.vs}, payload={self.payload!r}, counts={counts})"
-
-
-def _recycle(node: In3TNode) -> None:
-    """Return a node leaving the index for good to the freelist.
-
-    The node object may still be referenced (a caller, a wake heap); with
-    ``counts`` gone it cannot alias the next node to acquire that dict,
-    and with its verdicts gone nothing is waiting on it.
-    """
-    _COUNT_DICTS.release(node.counts)
-    node.counts = node.reconciled = node.agreement = None
 
 
 def _held(bucket: Dict[object, In3TNode], payload: Payload) -> Optional[In3TNode]:
@@ -346,20 +331,22 @@ class In3T:
         return self._file(bucket, vs, event.payload) if node is None else node
 
     def delete(self, node: In3TNode) -> None:
-        """``Delete``: remove *node* from the top tier.  It is *not*
-        recycled — the caller may still hold it; :meth:`prune_below` and
-        :meth:`remove` recycle."""
+        """``Delete``: remove *node* from the top tier.  It stays usable
+        — the caller may still hold it; :meth:`prune_below` and
+        :meth:`remove` retire for good."""
         bucket = self._nodes.get(node.vs)
         if bucket is None or _held(bucket, node.payload) is not node:
             raise KeyError(f"in3t node not present: {node!r}")
         self._unfile((node,))
 
     def remove(self, nodes: Sequence[In3TNode]) -> None:
-        """Retire *nodes* (resident, each once) and recycle their dicts;
-        callers must not use them afterwards."""
+        """Retire *nodes* (resident, each once) for good.  A node object
+        may still be referenced (a caller, a wake heap): with ``counts``
+        gone any use of it fails loudly, and with its verdicts gone
+        nothing is waiting on it."""
         self._unfile(nodes)
         for node in nodes:
-            _recycle(node)
+            node.counts = node.reconciled = node.agreement = None
 
     def prune_below(self, t: Timestamp, keep=None) -> int:
         """Bulk-retire (see :meth:`remove`) the nodes with ``Vs < t`` in
@@ -409,8 +396,7 @@ class In3T:
         return (node.vs, node.payload, counts)
 
     def _extract_records(self, lo: Timestamp, hi: Timestamp) -> List[tuple]:
-        """Remove nodes with ``lo <= Vs < hi``; return them as records
-        (plain lists/dicts: the counts dicts go back to the freelist)."""
+        """Remove nodes with ``lo <= Vs < hi``; return them as records."""
         nodes = self.nodes_between(lo, hi)
         records = [self._to_record(node) for node in nodes]
         self.remove(nodes)

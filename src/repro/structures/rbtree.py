@@ -9,14 +9,6 @@ iteration, and bounded iteration (``items_below`` drives the
 Keys must be mutually orderable; values are arbitrary.  Duplicate keys are
 not stored — inserting an existing key replaces its value (callers that
 need multiplicity, like in3t's Ve tier, store counts as values).
-
-Node allocation is routed through a module-level freelist
-(:data:`NODE_POOL`): every node detached by ``delete``/``delete_below``/
-``extract_range``/``clear`` is recycled into the next insert, so
-steady-state merging — where the settled-prefix pruning of PR 8 retires
-nodes at the same rate inserts create them — allocates no node objects at
-all.  Lint rule REP108 enforces that structures code never constructs a
-bare ``_Node`` outside this module.
 """
 
 from __future__ import annotations
@@ -65,80 +57,6 @@ class _Sentinel(_Node):
 
 _NIL = _Sentinel.__new__(_Sentinel)
 _Sentinel.__init__(_NIL)
-
-
-class _NodePool:
-    """Freelist of detached ``_Node`` objects.
-
-    ``acquire`` pops a recycled node (or constructs one when the list is
-    empty); ``release`` clears a detached node's references and pushes it
-    back, capped at ``limit`` so a transient spike cannot pin memory
-    forever.  The list operations are single bytecode appends/pops, so the
-    pool is safe to share between threads under the GIL; at worst a race
-    overshoots the cap by a node or two.
-    """
-
-    __slots__ = ("_free", "limit", "allocated", "reused", "released")
-
-    def __init__(self, limit: int = 65536):
-        self._free: List[_Node] = []
-        self.limit = limit
-        #: Nodes constructed because the freelist was empty.
-        self.allocated = 0
-        #: Nodes served from the freelist instead of the allocator.
-        self.reused = 0
-        #: Nodes returned to the freelist (drops past the cap excluded).
-        self.released = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, key: Any, value: Any, color: bool) -> _Node:
-        try:
-            node = self._free.pop()
-        except IndexError:
-            self.allocated += 1
-            return _Node(key, value, color)
-        self.reused += 1
-        node.key = key
-        node.value = value
-        node.color = color
-        node.left = _NIL
-        node.right = _NIL
-        node.parent = _NIL
-        return node
-
-    def release(self, node: _Node) -> None:
-        if len(self._free) >= self.limit:
-            return
-        node.key = None
-        node.value = None
-        node.left = _NIL
-        node.right = _NIL
-        node.parent = _NIL
-        self.released += 1
-        self._free.append(node)
-
-    def drain(self) -> None:
-        """Drop every pooled node (tests use this to isolate counters)."""
-        self._free.clear()
-
-    def stats(self) -> dict:
-        return {
-            "free": len(self._free),
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-        }
-
-
-#: The process-wide node freelist shared by every RedBlackTree.
-NODE_POOL = _NodePool()
-
-
-def node_pool_stats() -> dict:
-    """Allocation/reuse counters of the shared node pool (JSON-clean)."""
-    return NODE_POOL.stats()
 
 
 class RedBlackTree:
@@ -290,7 +208,6 @@ class RedBlackTree:
         self,
         bound: Any,
         keep: Optional[Callable[[Any, Any], bool]] = None,
-        on_delete: Optional[Callable[[Any], None]] = None,
     ) -> int:
         """Bulk-delete every entry with ``key < bound``; returns the count.
 
@@ -304,19 +221,13 @@ class RedBlackTree:
         mutation) returning True retains an entry — this is where the
         merge's reconciliation/settlement predicate runs; it may mutate
         values and emit output but must not touch the tree.
-        ``on_delete(value)`` is called once per removed entry after it is
-        unlinked (the hook that lets in2t/in3t recycle second-tier
-        containers); it must not mutate the tree either.
         """
         doomed: List[_Node] = []
         for node in self._range_nodes(None, bound):
             if keep is None or not keep(node.key, node.value):
                 doomed.append(node)
         for node in doomed:
-            value = node.value
             self._delete_node(node)
-            if on_delete is not None:
-                on_delete(value)
         return len(doomed)
 
     def extract_range(self, lo: Any, hi: Any) -> List[Tuple[Any, Any]]:
@@ -333,19 +244,7 @@ class RedBlackTree:
         return pairs
 
     def clear(self) -> None:
-        """Detach every node, recycling all of them into the pool."""
-        stack: List[_Node] = []
-        if self._root is not _NIL:
-            stack.append(self._root)
-        release = NODE_POOL.release
-        while stack:
-            node = stack.pop()
-            left, right = node.left, node.right
-            if left is not _NIL:
-                stack.append(left)
-            if right is not _NIL:
-                stack.append(right)
-            release(node)
+        """Drop every entry."""
         self._root = _NIL
         self._size = 0
 
@@ -369,7 +268,7 @@ class RedBlackTree:
             else:
                 node.value = value
                 return False
-        fresh = NODE_POOL.acquire(key, value, RED)
+        fresh = _Node(key, value, RED)
         fresh.parent = parent
         if parent is _NIL:
             self._root = fresh
@@ -401,9 +300,8 @@ class RedBlackTree:
 
         Returns ``(node, created)``; when *created*, the caller must set
         ``node.value`` before the next tree operation.  This is the
-        zero-allocation core of :meth:`get_or_insert` — the hottest merge
-        paths use it directly to avoid building a factory closure per
-        element.
+        core of :meth:`get_or_insert` — the hottest merge paths use it
+        directly to avoid building a factory closure per element.
         """
         parent = _NIL
         node = self._root
@@ -415,7 +313,7 @@ class RedBlackTree:
                 node = node.right
             else:
                 return node, False
-        fresh = NODE_POOL.acquire(key, None, RED)
+        fresh = _Node(key, None, RED)
         fresh.parent = parent
         if parent is _NIL:
             self._root = fresh
@@ -516,9 +414,6 @@ class RedBlackTree:
         if removed_color == BLACK:
             self._delete_fixup(fixup_at)
         _NIL.parent = _NIL  # undo any temporary sentinel wiring
-        # The detached object is always *node* (in the two-child case the
-        # successor was relocated into its place); recycle it.
-        NODE_POOL.release(node)
 
     def _transplant(self, old: _Node, new: _Node) -> None:
         if old.parent is _NIL:

@@ -1,8 +1,10 @@
 """An ordered set of keys held as sorted chunks — order without a tree.
 
 For an index that finds its entries by hash and needs order only to walk
-a key range (in3t's distinct Vs values today; in2t's top tier is meant to
-adopt it once the benchmark's pass count is fixed).  Keys live in sorted
+a key range: in3t's distinct Vs values, and only those.  In2t on the
+same layout was prototyped and loses while LMR3+'s ``stable()`` still
+walks every live node (EXPERIMENTS.md, PR 19, "Tried and rejected"); it
+needs an O(changed) frontier for LMR3+ first.  Keys live in sorted
 lists of bounded length, each chunk's largest key mirrored in a flat list,
 so locating a key is two bisections.  A key above the maximum is an
 append, any other new key an ``insort`` into one chunk: O(lg n + chunk).

@@ -35,6 +35,7 @@ from repro.lmerge.r4 import LMergeR4
 from repro.streams.divergence import diverge
 from repro.streams.generator import GeneratorConfig, StreamGenerator
 from repro.temporal.elements import Adjust, Insert, Stable
+from repro.temporal.time import INFINITY
 
 from conftest import small_stream
 
@@ -108,6 +109,24 @@ def _run_batched(variant_cls, chunks, n_inputs, coalesce=False):
     return merge
 
 
+def _feeds(coalesce=False):
+    """The ingest paths by mode.  ``"columns"`` hands over what a worker
+    gets off the ring: a wire-decoded batch, which holds no element
+    objects and whose timestamps went through the ``'q'``/``'d'`` column
+    typecodes (``5.0`` may come back for ``5``, ``inf`` natively)."""
+    return {
+        "element": lambda m, chunk, sid: [m.process(e, sid) for e in chunk],
+        "batch": lambda m, chunk, sid: m.process_batch(
+            chunk, sid, coalesce_stables=coalesce
+        ),
+        "columns": lambda m, chunk, sid: m.process_columns(
+            ColumnBatch.decode(ColumnBatch.from_elements(chunk).encode()),
+            sid,
+            coalesce_stables=coalesce,
+        ),
+    }
+
+
 class TestExactEquivalence:
     """process_batch == process, element for element, stats included."""
 
@@ -147,6 +166,36 @@ class TestExactEquivalence:
         again = ALL_VARIANTS[name]()
         out_again = again.merge_batched(streams, schedule=schedule)
         assert out_again.tdb() == out_per.tdb()
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    @pytest.mark.parametrize("name", sorted(ALL_VARIANTS))
+    def test_wire_decoded_columns_match_batch(self, name, coalesce):
+        """process_columns is a boundary decode plus process_batch: same
+        output, same stats, for every variant — over an empty batch and
+        one with every kind the variant takes, ``inf`` included."""
+        n_inputs = 3
+        streams = _streams_for(name, 11, n_inputs)
+        chunks = list(interleave_batches(streams, "round_robin", 0, 24))
+        chunks.insert(1, ([], 0))
+        end = max(e.vs for e in streams[0] if e.__class__ is Insert) + 1
+        tail = [Insert(("tail",), end, INFINITY), Stable(end), Stable(INFINITY)]
+        if name in GENERAL_VARIANTS:
+            tail.insert(1, Adjust(("tail",), end, INFINITY, end + 5))
+        chunks.extend((tail, sid) for sid in range(n_inputs))
+        feeds = _feeds(coalesce)
+        merges = {}
+        for mode in ("batch", "columns"):
+            merges[mode] = merge = ALL_VARIANTS[name]()
+            for sid in range(n_inputs):
+                merge.attach(sid)
+            for chunk, sid in chunks:
+                feeds[mode](merge, chunk, sid)
+        assert list(merges["columns"].output) == list(merges["batch"].output)
+        assert merges["columns"].stats == merges["batch"].stats
+        assert merges["batch"].stats.elements_in == sum(
+            len(chunk) for chunk, _ in chunks
+        )
+        assert merges["batch"].max_stable == INFINITY
 
     def test_counting_merge_uses_generic_path(self):
         """Variants without a fast path fall back to the per-element
@@ -274,15 +323,7 @@ class TestOrderedRunKernels:
             _tie_heavy_replicas(name, seed, 4),
             batch_size, lag, attach_at, detach_at, snapshot_at,
         )
-        feeds = {
-            "element": lambda m, chunk, sid: [m.process(e, sid) for e in chunk],
-            "batch": lambda m, chunk, sid: m.process_batch(chunk, sid),
-            # Wire-decoded, so the column walk (not the object path) runs.
-            "columns": lambda m, chunk, sid: m.process_columns(
-                ColumnBatch.decode(ColumnBatch.from_elements(chunk).encode()),
-                sid,
-            ),
-        }
+        feeds = _feeds()
         outputs = {mode: [] for mode in feeds}
         merges = {}
         for mode in feeds:

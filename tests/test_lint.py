@@ -292,9 +292,9 @@ class TestColumnarLoops:
     def test_positive_to_elements_loop(self):
         findings = _lint(
             """
-            def _insert_columns(self, batch, start, stop, stream_id, state):
+            def emit_columns(self, batch):
                 for element in batch.to_elements():
-                    self._insert(element, stream_id)
+                    self.emit(element)
             """
         )
         assert _rule_ids(findings) == ["REP107"]
@@ -302,7 +302,7 @@ class TestColumnarLoops:
     def test_positive_elements_slice_comprehension(self):
         findings = _lint(
             """
-            def process_columns(self, batch, stream_id):
+            def partition_columns(batch, num_shards):
                 out = [e for e in batch.elements_slice(0, batch.n)]
                 return out
             """
@@ -322,9 +322,9 @@ class TestColumnarLoops:
     def test_negative_column_walk(self):
         assert not _lint(
             """
-            def _insert_columns(self, batch, start, stop, stream_id, state):
+            def receive_columns(self, batch, port=0):
                 vs = batch.vs
-                for i in range(start, stop):
+                for i in range(batch.n):
                     self._note(vs[i])
             """
         )
@@ -333,9 +333,8 @@ class TestColumnarLoops:
         # Materializing only emitted rows is the sanctioned pattern.
         assert not _lint(
             """
-            def _insert_columns(self, batch, start, stop, stream_id, state):
-                element_at = batch.element_at
-                out = [element_at(i) for i in self._survivors]
+            def receive_columns(self, batch, port=0):
+                out = batch.take(self._survivors).to_elements()
                 self._emit_batch(out)
             """
         )
@@ -357,77 +356,6 @@ class TestColumnarLoops:
                 for element in batch:
                     self.receive(element)
             """
-        )
-
-
-class TestBareNodeAlloc:
-    def test_positive_in2t_node_outside_home(self):
-        findings = _lint(
-            """
-            from repro.structures.in2t import In2TNode
-
-            def rebuild(event, key):
-                return In2TNode(event, key)
-            """,
-            path="src/repro/structures/other.py",
-        )
-        assert _rule_ids(findings) == ["REP108"]
-
-    def test_positive_rbtree_node_in_tests(self):
-        findings = _lint(
-            """
-            from repro.structures.rbtree import _Node
-
-            def make():
-                return _Node(1, None, "red")
-            """,
-            path="tests/test_something.py",
-        )
-        assert _rule_ids(findings) == ["REP108"]
-
-    def test_positive_attribute_call(self):
-        findings = _lint(
-            """
-            import repro.structures.in3t as in3t
-
-            def make(vs, payload, key):
-                return in3t.In3TNode(vs, payload, key)
-            """,
-            path=COLD,
-        )
-        assert _rule_ids(findings) == ["REP108"]
-
-    def test_negative_defining_module(self):
-        # The module that defines the class IS its pool-aware home.
-        assert not _lint(
-            """
-            class In2TNode:
-                def __init__(self, event, key):
-                    self.event = event
-
-            def add(event, key):
-                return In2TNode(event, key)
-            """,
-            path="src/repro/structures/in2t.py",
-        )
-
-    def test_negative_other_calls(self):
-        assert not _lint(
-            """
-            def f(index, event):
-                return index.add(event)
-            """
-        )
-
-    def test_noqa_suppresses(self):
-        assert not _lint(
-            """
-            from repro.structures.in2t import In2TNode
-
-            def rebuild(event, key):
-                return In2TNode(event, key)  # noqa: REP108
-            """,
-            path=COLD,
         )
 
 
@@ -609,85 +537,6 @@ class TestBlockingCalls:
         )
 
 
-class TestPoolEscape:
-    def test_positive_append_escape(self):
-        findings = _lint(
-            """
-            class Index:
-                def insert(self, key):
-                    node = self._pool.acquire()
-                    self._spine.append(node)
-            """,
-            rules=["REP111"],
-        )
-        assert _rule_ids(findings) == ["REP111"]
-
-    def test_positive_attribute_escape(self):
-        findings = _lint(
-            """
-            class Index:
-                def insert(self, key):
-                    self.head = self._pool.acquire()
-            """,
-            rules=["REP111"],
-        )
-        assert _rule_ids(findings) == ["REP111"]
-
-    def test_positive_escape_through_rebinding(self):
-        findings = _lint(
-            """
-            class Index:
-                def insert(self, key):
-                    node = self._free_list.acquire()
-                    alias = node
-                    self._table[key] = alias
-            """,
-            rules=["REP111"],
-        )
-        assert _rule_ids(findings) == ["REP111"]
-
-    def test_negative_local_use_and_release(self):
-        assert not _lint(
-            """
-            class Index:
-                def insert(self, key):
-                    node = self._pool.acquire()
-                    node.key = key
-                    self._pool.release(node)
-            """,
-            rules=["REP111"],
-        )
-
-    def test_negative_pool_owning_module_exempt(self):
-        # The module defining the pooled node class IS the pool
-        # discipline: storing nodes into its index is the point.
-        assert not _lint(
-            """
-            class _Node:
-                __slots__ = ("key",)
-
-            class Index:
-                def insert(self, key):
-                    node = self._pool.acquire()
-                    self._spine.append(node)
-            """,
-            rules=["REP111"],
-        )
-
-    def test_negative_rebind_kills_taint(self):
-        assert not _lint(
-            """
-            class Index:
-                def insert(self, key):
-                    node = self._pool.acquire()
-                    self._pool.release(node)
-                    node = fresh()
-                    self._spine.append(node)
-            """,
-            rules=["REP111"],
-        )
-
-
 class TestSwallowedPunctuation:
     def test_positive_pass_handler(self):
         findings = _lint(
@@ -840,10 +689,8 @@ class TestHarness:
             "REP105",
             "REP106",
             "REP107",
-            "REP108",
             "REP109",
             "REP110",
-            "REP111",
             "REP112",
             "REP113",
         }

@@ -209,14 +209,6 @@ class TestDeleteBelow:
         tree.check_invariants()
         assert list(tree.keys()) == [0, 3, 6, 9]
 
-    def test_on_delete_sees_every_victim(self):
-        tree = RedBlackTree()
-        for key in range(8):
-            tree.insert(key, f"v{key}")
-        seen = []
-        tree.delete_below(5, on_delete=seen.append)
-        assert seen == ["v0", "v1", "v2", "v3", "v4"]
-
     def test_empty_and_out_of_range(self):
         tree = RedBlackTree()
         assert tree.delete_below(100) == 0
@@ -254,36 +246,6 @@ class TestExtractRangeAndBetween:
         tree.check_invariants()
 
 
-class TestNodePool:
-    def test_steady_state_reuses_nodes(self):
-        from repro.structures.rbtree import NODE_POOL
-
-        tree = RedBlackTree()
-        for key in range(64):
-            tree.insert(key, key)
-        tree.delete_below(64)
-        before = NODE_POOL.stats()
-        for key in range(64):
-            tree.insert(key, key)
-        after = NODE_POOL.stats()
-        # Every re-insert should have come from the freelist.
-        assert after["reused"] - before["reused"] == 64
-        assert after["allocated"] == before["allocated"]
-        tree.check_invariants()
-
-    def test_recycled_nodes_carry_no_stale_state(self):
-        tree = RedBlackTree()
-        for key in range(32):
-            tree.insert(key, f"old{key}")
-        tree.clear()
-        for key in range(32, 0, -1):
-            tree.insert(key, f"new{key}")
-        tree.check_invariants()
-        assert [v for _, v in tree.items()] == [
-            f"new{k}" for k in range(1, 33)
-        ]
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(
@@ -296,8 +258,8 @@ class TestNodePool:
 )
 def test_range_ops_model_equivalence(ops):
     """Property: interleaved inserts, deletes, delete_below and
-    extract_range behave exactly like a sorted dict, with invariants and
-    node pooling in play throughout."""
+    extract_range behave exactly like a sorted dict, with invariants
+    holding throughout."""
     tree = RedBlackTree()
     model = {}
     for op, key in ops:

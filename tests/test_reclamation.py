@@ -1,4 +1,4 @@
-"""Bounded merge state (PR 8): pruning, pooling, and cold-run spill.
+"""Bounded merge state (PR 8): pruning and cold-run spill.
 
 Covers the tentpole's contracts:
 
@@ -318,37 +318,16 @@ class TestShardedWithReclamation:
 
 
 class TestFreelists:
-    def test_entry_dicts_recycled_on_prune(self):
-        from repro.structures.in2t import _ENTRY_DICTS
-
-        merge = drive_lagged(LMergeR3(reclamation=PRUNE), n=1000, window=100)
-        assert merge.pruned_nodes > 0
-        assert _ENTRY_DICTS.released > 0
-
-    def test_count_dicts_recycled_on_prune(self):
-        from repro.structures.in3t import _COUNT_DICTS
-
-        _COUNT_DICTS.drain()  # a full freelist drops releases uncounted
-        released = _COUNT_DICTS.released
-        merge = drive_lagged(LMergeR4(reclamation=PRUNE), n=1000, window=100)
-        assert merge.pruned_nodes > 0
-        # One counts dict per pruned node; the Ve tiers are plain lists
-        # and go to the allocator.
-        assert _COUNT_DICTS.released - released >= merge.pruned_nodes
-
     def test_retained_node_fails_loudly_after_prune(self):
-        """A recycled node's counts dict goes to the next node; the old
-        node object must not be able to write into it."""
-        from repro.structures.in3t import In3T, _COUNT_DICTS
+        """A node object retained past its retirement must not be usable
+        as if it were still in the index."""
+        from repro.structures.in3t import In3T
 
-        _COUNT_DICTS.drain()  # a full freelist drops releases
         index = In3T()
         stale = index.find_or_add(Insert("A", 1, 5))
         stale.increment(0, 5)
-        held = stale.counts
         assert index.prune_below(2) == 1
         fresh = index.find_or_add(Insert("B", 3, 9))
-        assert fresh.counts is held
         for use in (
             lambda: stale.increment(0, 7),
             lambda: stale.decrement(0, 5),
@@ -358,27 +337,3 @@ class TestFreelists:
             with pytest.raises(AttributeError):
                 use()
         assert fresh.is_empty() and fresh.total_count(0) == 0
-
-    def test_steady_state_allocates_no_tree_nodes(self):
-        from repro.structures.rbtree import NODE_POOL
-
-        merge = LMergeR3(reclamation=PRUNE)
-        merge.attach(0)
-        merge.attach(1)
-        # Warm up: fill the working set once so the pool holds nodes.
-        for i in range(256):
-            for sid in (0, 1):
-                merge.process(Insert(f"p{i}", i, INFINITY), sid)
-            if i % 16 == 15:
-                for sid in (0, 1):
-                    merge.process(Stable(i), sid)
-        allocated_before = NODE_POOL.stats()["allocated"]
-        for i in range(256, 2048):
-            for sid in (0, 1):
-                merge.process(Insert(f"p{i}", i, INFINITY), sid)
-            if i % 16 == 15:
-                for sid in (0, 1):
-                    merge.process(Stable(i), sid)
-        # Steady-state churn (insert rate == reclaim rate) is served from
-        # the freelist: no new tree-node allocations.
-        assert NODE_POOL.stats()["allocated"] == allocated_before
