@@ -203,7 +203,7 @@ def _drain_one(
     Returns the new ``(out_ring, delivered, done_received, violation)``
     where *violation* is ``(property, detail)`` or None.  Mirrors the
     ``skip = delivered - emitted_before`` dedup in
-    ``SupervisedRuntime._handle_out_frame``.
+    ``ParallelRuntime._drain_shm_ring`` (the one OUT-decode site).
     """
     frame, rest = out_ring[0], out_ring[1:]
     if frame[0] == _DONE:

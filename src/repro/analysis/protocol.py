@@ -19,10 +19,13 @@ Role inference
     Frame producers are identified by the code that calls them, not by
     annotations: a module-level function whose name contains
     ``shard_loop``/``worker`` (or that takes ``in_ring``/``out_ring``
-    parameters) runs in the worker; a method of a ``*Runtime`` /
-    ``*Supervisor`` class runs in the driver.  Sites whose role cannot
-    be inferred get an ``unknown-role`` warning instead of silently
-    passing.
+    parameters) runs in the worker — in this repo that is one function,
+    ``engine.parallel._ring_shard_loop``; a method of a ``*Runtime`` /
+    ``*Supervisor`` class (``ParallelRuntime``, ``SupervisedRuntime``)
+    runs in the driver.  A put wrapped in a ``lambda:`` for a retry
+    helper is still a literal call and is attributed to the method that
+    builds the lambda.  Sites whose role cannot be inferred get an
+    ``unknown-role`` warning instead of silently passing.
 
 Checks per put site
     * the frame kind is declared in the protocol;

@@ -20,12 +20,26 @@ Orthogonally to the backend, ``envelope`` selects the exchange currency:
   PR3-era path; the process backend pickles the object graph per hop);
 * ``envelope="columnar"`` — micro-batches travel as
   :class:`~repro.engine.columnar.ColumnBatch`.  Serial and thread
-  backends pass the batch by reference and the worker hands it to the
-  merge's ``process_columns``; the process backend swaps the
+  backends pass the batch by reference; the process backend swaps the
   pickled queues for :class:`~repro.engine.shm.ShmRing` shared-memory
   rings and ships the batch's fixed-header binary encoding — a memcpy
   per column instead of a pickle per element.  Control messages travel
   the same ring, so per-shard ordering is preserved.
+
+Two workers exist because two transports do.  :func:`_shard_loop` serves
+the queues (thread backend, and process + object envelope): a message is
+``("batch", stream_id, batch)`` by reference and the worker picks
+``process_columns`` or ``process_batch`` from the batch's type.
+:func:`_ring_shard_loop` serves the shm exchange, whose protocol is
+sequenced for every plan: the driver numbers each shard's frames
+(``BATCH`` is ``u64 seq | u16 len | sid | RCB1``), the worker applies
+them behind a duplicate/gap gate, and every ``OUT`` frame leads with the
+worker's cumulative ``u64 emitted_before`` so the driver can drop rows
+it has already delivered.  On a plain plan the gate never fires and the
+slice is empty; :class:`~repro.resilience.supervisor.SupervisedRuntime`
+is the layer that makes them fire — it journals what the driver sends,
+hands the ring worker a supervision object (durable store, checkpoints,
+flight recorder, fault sites) and replays after a crash.
 
 Backpressure reuses the engine's semantics in the blocking world: a full
 bounded input queue (or input ring) blocks :meth:`ParallelRuntime.submit`
@@ -53,7 +67,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.columnar import ColumnBatch
 from repro.engine import shm as shm_rings
-from repro.engine.shm import PeerDeadError, RingClosedError, ShmRing
+from repro.engine.shm import RingClosedError, ShmRing
 from repro.temporal.elements import Element
 
 #: Builds one shard's merge; receives the sink callable capturing output.
@@ -88,6 +102,15 @@ class _MergeFactory:
         return self.cls(sink=sink, **self.kwargs)
 
 
+def _apply(merge: Any, stream_id, batch: Batch, coalesce_stables: bool) -> None:
+    """Feed one by-reference micro-batch to *merge*, whichever envelope
+    it travels in."""
+    if isinstance(batch, ColumnBatch):
+        merge.process_columns(batch, stream_id, coalesce_stables=coalesce_stables)
+    else:
+        merge.process_batch(batch, stream_id, coalesce_stables=coalesce_stables)
+
+
 def _shard_loop(
     shard: int,
     factory: ShardFactory,
@@ -95,7 +118,7 @@ def _shard_loop(
     put: Callable[[Tuple], None],
     coalesce_stables: bool,
 ) -> None:
-    """One worker's life: build the merge, apply envelopes until the
+    """The queue worker's life: build the merge, apply messages until the
     ``None`` sentinel, report outputs after every batch and statistics at
     the end.  Runs identically on a thread or in a child process."""
     try:
@@ -108,18 +131,7 @@ def _shard_loop(
                 return
             kind = message[0]
             if kind == "batch":
-                merge.process_batch(
-                    message[2], message[1], coalesce_stables=coalesce_stables
-                )
-                if buffer:
-                    put(("out", shard, buffer[:]))
-                    buffer.clear()
-            elif kind == "cols":
-                # Columnar envelope on a queue backend: the batch arrives
-                # by reference and the merge walks its columns directly.
-                merge.process_columns(
-                    message[2], message[1], coalesce_stables=coalesce_stables
-                )
+                _apply(merge, message[1], message[2], coalesce_stables)
                 if buffer:
                     put(("out", shard, buffer[:]))
                     buffer.clear()
@@ -133,24 +145,35 @@ def _shard_loop(
         put(("error", shard, traceback.format_exc()))
 
 
-def _shm_shard_loop(
+def _ring_shard_loop(
     shard: int,
     factory: ShardFactory,
     in_ring: ShmRing,
     out_ring: ShmRing,
     coalesce_stables: bool,
-    telemetry_interval: float = 0.0,
+    telemetry_interval: float,
+    supervision: Any,
 ) -> None:
-    """The shm-exchange worker: decode :data:`~repro.engine.shm.BATCH`
-    frames straight out of the input ring, run the columnar merge path,
-    and encode any output back into the output ring.  Control frames
-    (attach/detach/shutdown) share the input ring, so they apply in
-    exactly the order the driver issued them.
+    """The shm-exchange worker: one incarnation of one shard.
+
+    Applies the driver's sequenced frames behind a duplicate/gap gate
+    (a frame already applied is skipped; a frame past the next expected
+    one is reported as ``("gap", expected, got)`` and ends the worker),
+    decodes :data:`~repro.engine.shm.BATCH` frames straight out of the
+    input ring, and encodes any output back into the output ring behind
+    the count of rows emitted before it.  Control frames share the input
+    ring, so they apply in exactly the order the driver issued them.
 
     With *telemetry_interval* > 0 the worker keeps a local registry and
     observer, and ships snapshot deltas to the driver as best-effort
     :data:`~repro.engine.shm.TELEM` frames — dropped (never blocking)
     when the output ring is full.
+
+    *supervision* is ``None`` on a plain plan.  A supervised plan passes
+    the worker half of :mod:`repro.resilience.supervisor`: it restores
+    the last durable snapshot, and after every batch records it, fires
+    the fault sites and says when to checkpoint.  It owns the disk; this
+    loop owns the rings, so every frame a worker can put is put here.
     """
     try:
         in_ring.child_deregister()
@@ -164,8 +187,18 @@ def _shm_shard_loop(
             out_ring.set_liveness(parent.is_alive)
         buffer: List[Element] = []
         merge = factory(buffer.append)
-        emitter = observer = None
-        processed = 0
+        applied_seq = emitted = processed = 0
+        beat_interval = None  # an unsupervised worker blocks on its ring
+        if supervision is not None:
+            applied_seq, emitted = supervision.open(shard, merge)
+            beat_interval = supervision.heartbeat_interval
+            # Bounded like every heartbeat: if the driver is wedged with
+            # a full ring, blocking here would deadlock the restart — a
+            # missed announce is recovered by the driver's resume timeout.
+            out_ring.put_pickle(
+                shm_rings.HB, ("resumed", applied_seq, emitted), timeout=5.0
+            )
+        emitter = None
         if telemetry_interval > 0:
             # Imported here: obs stays out of the engine's import graph
             # (and out of the fork image) unless telemetry is on.
@@ -188,31 +221,77 @@ def _shm_shard_loop(
                 help="Worker-side wall seconds per input batch.",
             )
         while True:
-            frame = in_ring.get()
-            assert frame is not None  # blocking get
+            if emitter is not None:
+                delta = emitter.maybe_delta()
+                if delta is not None:
+                    out_ring.put_pickle(shm_rings.TELEM, delta, timeout=0)
+            frame = in_ring.get(timeout=beat_interval)
+            if frame is None:  # idle for a whole heartbeat interval
+                out_ring.put_pickle(
+                    shm_rings.HB, ("hb", applied_seq, emitted), timeout=0
+                )
+                supervision.idle()
+                continue
             kind, payload = frame
             if kind == shm_rings.BATCH:
-                sid_len = int.from_bytes(payload[:2], "little")
-                stream_id = pickle.loads(payload[2 : 2 + sid_len])
+                seq = int.from_bytes(payload[:8], "little")
+            elif kind == shm_rings.CTRL:
+                message = pickle.loads(payload)
+                if message is None:
+                    if supervision is not None:
+                        supervision.close(applied_seq, emitted)
+                    if emitter is not None:
+                        observer.sample(clock=float(processed))
+                        delta = emitter.delta()
+                        if delta is not None:
+                            out_ring.put_pickle(
+                                shm_rings.TELEM, delta, timeout=0
+                            )
+                    out_ring.put_pickle(shm_rings.DONE, merge.stats)
+                    return
+                seq = message[1] if message[0] == "op" else 0
+            else:  # pragma: no cover - driver and worker in lockstep
+                raise ValueError(f"unexpected frame kind {kind}")
+            if seq:
+                if seq <= applied_seq:
+                    continue  # duplicated delivery: already applied
+                if seq != applied_seq + 1:
+                    # A frame was lost or reordered in front of us; we
+                    # cannot apply out of order — report it and stop.
+                    out_ring.put_pickle(
+                        shm_rings.HB,
+                        ("gap", applied_seq + 1, seq),
+                        timeout=5.0,
+                    )
+                    return
+            checkpoint = None
+            if kind == shm_rings.BATCH:
+                sid_len = int.from_bytes(payload[8:10], "little")
+                stream_id = pickle.loads(payload[10 : 10 + sid_len])
                 batch = ColumnBatch.decode(
-                    memoryview(payload)[2 + sid_len :]
+                    memoryview(payload)[10 + sid_len :]
                 )
-                started = perf_counter() if emitter is not None else 0.0
+                started = perf_counter()
                 merge.process_columns(
                     batch, stream_id, coalesce_stables=coalesce_stables
                 )
-                if buffer:
+                applied_seq = seq
+                rows = len(buffer)
+                if rows:
                     out = ColumnBatch.from_elements(buffer[:])
                     buffer.clear()
                     # Lineage: the output inherits the triggering input
                     # batch's trace id, closing the submit->output span.
                     out.trace_id = batch.trace_id
                     size, prebuilt = out.encoded_size()
-                    out_ring.put_frame(
-                        shm_rings.OUT,
-                        size,
-                        lambda view: out.encode_into(view, prebuilt),
-                    )
+                    header = emitted.to_bytes(8, "little")
+
+                    def fill(view: memoryview) -> None:
+                        view[0:8] = header
+                        out.encode_into(view[8:], prebuilt)
+
+                    out_ring.put_frame(shm_rings.OUT, 8 + size, fill)
+                    emitted += rows
                 if emitter is not None:
                     processed += batch.n
                     duration = perf_counter() - started
@@ -228,31 +307,36 @@ def _shm_shard_loop(
                         dur=duration,
                     )
                     observer.sample(clock=float(processed))
-                    delta = emitter.maybe_delta()
-                    if delta is not None:
-                        out_ring.put_pickle(
-                            shm_rings.TELEM, delta, timeout=0
-                        )
-            elif kind == shm_rings.CTRL:
-                message = pickle.loads(payload)
-                if message is None:
-                    if emitter is not None:
-                        observer.sample(clock=float(processed))
-                        delta = emitter.delta()
-                        if delta is not None:
-                            out_ring.put_pickle(
-                                shm_rings.TELEM, delta, timeout=0
-                            )
-                    out_ring.put_pickle(shm_rings.DONE, merge.stats)
-                    return
-                if message[0] == "attach":
-                    merge.attach(message[1], message[2])
-                elif message[0] == "detach":
-                    merge.detach(message[1])
-                else:  # pragma: no cover - driver and worker in lockstep
-                    raise ValueError(f"unknown control {message!r}")
+                if supervision is not None:
+                    # Publish, then record and fire the fault sites, then
+                    # beat, then checkpoint: a killed batch is never
+                    # durable, so recovery always has a tail to replay.
+                    supervision.batch_applied(
+                        seq, batch.n, rows, perf_counter() - started
+                    )
+                    out_ring.put_pickle(
+                        shm_rings.HB, ("hb", applied_seq, emitted), timeout=0
+                    )
+                    if supervision.checkpoint_due():
+                        checkpoint = "auto"
+            elif message[0] == "op":
+                op = message[2]
+                if op[0] == "attach":
+                    merge.attach(op[1], op[2])
+                else:
+                    merge.detach(op[1])
+                applied_seq = seq
+            elif message[0] == "ckpt":
+                checkpoint = message[1]
             else:  # pragma: no cover - driver and worker in lockstep
-                raise ValueError(f"unexpected frame kind {kind}")
+                raise ValueError(f"unknown control {message!r}")
+            if checkpoint is not None:
+                store_bytes = supervision.checkpoint(applied_seq, emitted)
+                out_ring.put_pickle(
+                    shm_rings.CKPT,
+                    (checkpoint, applied_seq, emitted, store_bytes),
+                    timeout=5.0,
+                )
     except RingClosedError:  # pragma: no cover - driver aborted first
         pass
     except BaseException:
@@ -267,7 +351,7 @@ def _shm_shard_loop(
         if not delivered:  # pragma: no cover - ERR frame could not land
             # Last resort: the driver will only see "worker died without
             # reporting stats", so leave the real cause on stderr.
-            sys.stderr.write(f"[shm shard {shard}] {details}\n")
+            sys.stderr.write(f"[ring shard {shard}] {details}\n")
 
 
 class ParallelRuntime:
@@ -351,25 +435,19 @@ class ParallelRuntime:
         self._processes: List[multiprocessing.Process] = []
         self._serial_shards: List[Any] = []
         self._serial_buffers: List[List[Element]] = []
+        self._context: Any = None  # multiprocessing context (process backend)
         # Shm-exchange state (process backend + columnar envelope).
-        self._in_rings: List[ShmRing] = []
-        self._out_rings: List[ShmRing] = []
+        self._in_rings: List[Optional[ShmRing]] = []
+        self._out_rings: List[Optional[ShmRing]] = []
         self._final_stats: Dict[int, Any] = {}
+        #: Next frame number per shard (the worker's gate expects them
+        #: consecutive from 1) and output rows already handed to poll().
+        self._next_seq = [1] * num_shards
+        self._delivered = [0] * num_shards
 
     @property
     def _uses_shm(self) -> bool:
         return self.backend == "process" and self.envelope == "columnar"
-
-    def _init_telemetry(self) -> None:
-        """Build the driver-side TELEM aggregator when configured.
-
-        Imported lazily so the engine never touches :mod:`repro.obs`
-        unless live telemetry is actually requested.
-        """
-        if self.registry is not None and self.telemetry_interval > 0:
-            from repro.obs.telemetry import TelemetryAggregator
-
-            self.telemetry = TelemetryAggregator(self.registry, self._tracer)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -403,62 +481,77 @@ class ParallelRuntime:
                     self._output.put,
                     self.coalesce_stables,
                 )
-        elif self._uses_shm:
-            self._init_telemetry()
-            context = multiprocessing.get_context(
+        else:
+            self._context = multiprocessing.get_context(
                 "fork"
                 if "fork" in multiprocessing.get_all_start_methods()
                 else None
             )
-            for shard in range(self.num_shards):
-                in_ring = ShmRing(self.ring_capacity)
-                out_ring = ShmRing(self.ring_capacity)
-                self._in_rings.append(in_ring)
-                self._out_rings.append(out_ring)
-                process = context.Process(
-                    target=_shm_shard_loop,
-                    args=(
-                        shard,
-                        self.factory,
-                        in_ring,
-                        out_ring,
-                        self.coalesce_stables,
-                        self.telemetry_interval,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                # A dead worker turns blocking ring waits into
-                # PeerDeadError instead of an infinite spin.
-                in_ring.set_liveness(process.is_alive)
-                out_ring.set_liveness(process.is_alive)
-                self._processes.append(process)
-        else:  # process backend, object envelope
-            context = multiprocessing.get_context(
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-            self._inputs = [
-                context.Queue(maxsize=self.queue_capacity)
-                for _ in range(self.num_shards)
-            ]
-            self._output = context.Queue()
-            for shard in range(self.num_shards):
-                process = context.Process(
-                    target=_shard_loop,
-                    args=(
-                        shard,
-                        self.factory,
-                        self._inputs[shard].get,
-                        self._output.put,
-                        self.coalesce_stables,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                self._processes.append(process)
+            self._processes = [None] * self.num_shards  # type: ignore[list-item]
+            if self._uses_shm:
+                if self.registry is not None and self.telemetry_interval > 0:
+                    # Imported lazily: the engine never touches repro.obs
+                    # unless live telemetry is actually requested.
+                    from repro.obs.telemetry import TelemetryAggregator
+
+                    self.telemetry = TelemetryAggregator(
+                        self.registry, self._tracer
+                    )
+                self._in_rings = [None] * self.num_shards
+                self._out_rings = [None] * self.num_shards
+                for shard in range(self.num_shards):
+                    self._spawn(shard)
+            else:  # object envelope: pickled queues
+                self._inputs = [
+                    self._context.Queue(maxsize=self.queue_capacity)
+                    for _ in range(self.num_shards)
+                ]
+                self._output = self._context.Queue()
+                for shard in range(self.num_shards):
+                    process = self._context.Process(
+                        target=_shard_loop,
+                        args=(
+                            shard,
+                            self.factory,
+                            self._inputs[shard].get,
+                            self._output.put,
+                            self.coalesce_stables,
+                        ),
+                        daemon=True,
+                    )
+                    process.start()
+                    self._processes[shard] = process
         return self
+
+    def _worker_supervision(self, shard: int) -> Any:
+        """What *shard*'s ring worker is supervised by: nothing."""
+        return None
+
+    def _spawn(self, shard: int) -> None:
+        """Create fresh rings and one ring worker for *shard*."""
+        in_ring = ShmRing(self.ring_capacity)
+        out_ring = ShmRing(self.ring_capacity)
+        process = self._context.Process(
+            target=_ring_shard_loop,
+            args=(
+                shard,
+                self.factory,
+                in_ring,
+                out_ring,
+                self.coalesce_stables,
+                self.telemetry_interval,
+                self._worker_supervision(shard),
+            ),
+            daemon=True,
+        )
+        process.start()
+        # A dead worker turns blocking ring waits into PeerDeadError
+        # instead of an infinite spin.
+        in_ring.set_liveness(process.is_alive)
+        out_ring.set_liveness(process.is_alive)
+        self._in_rings[shard] = in_ring
+        self._out_rings[shard] = out_ring
+        self._processes[shard] = process
 
     def close(self) -> List[Any]:
         """Send every worker its sentinel, gather final outputs and the
@@ -497,29 +590,10 @@ class ParallelRuntime:
         return stats
 
     def _close_shm(self) -> List[Any]:
-        """Shm-exchange shutdown: sentinel through each input ring, then
-        drain each output ring to its worker's DONE frame."""
-        for shard, in_ring in enumerate(self._in_rings):
-            try:
-                while not in_ring.put_pickle(
-                    shm_rings.CTRL, None, timeout=0.05
-                ):
-                    self._drain_shm_outputs()
-            except PeerDeadError:
-                self._abort()
-                raise ShardError(
-                    shard, "worker died before shutdown"
-                ) from None
-        stats: List[Any] = [None] * self.num_shards
-        for shard in range(self.num_shards):
-            while shard not in self._final_stats:
-                got = self._drain_shm_ring(shard, timeout=1.0)
-                if not got and not self._processes[shard].is_alive():
-                    self._abort()
-                    raise ShardError(
-                        shard, "worker died without reporting stats"
-                    )
-            stats[shard] = self._final_stats[shard]
+        """Shm-exchange shutdown: stop the workers, join them, free the
+        rings."""
+        self._stop_workers()
+        stats = [self._final_stats[shard] for shard in range(self.num_shards)]
         self._join_or_escalate(stats)
         # Every worker's DONE is in, so the rings are drained (per-shard
         # FIFO puts all OUT frames before DONE); any remaining output now
@@ -530,6 +604,21 @@ class ParallelRuntime:
         self._out_rings = []
         self._stats = stats
         return stats
+
+    def _stop_workers(self) -> None:
+        """Sentinel through each input ring, then drain each output ring
+        to its worker's DONE frame (parked in ``_final_stats``)."""
+        for shard in range(self.num_shards):
+            if not self._put_control(shard, None):
+                self._undeliverable(shard, "shutdown")
+        for shard in range(self.num_shards):
+            while shard not in self._final_stats:
+                got = self._drain_shm_ring(shard, timeout=1.0)
+                if not got and not self._processes[shard].is_alive():
+                    self._abort()
+                    raise ShardError(
+                        shard, "worker died without reporting stats"
+                    )
 
     def _drain_shm_outputs(self) -> None:
         """One non-blocking sweep over every shard's output ring."""
@@ -542,22 +631,25 @@ class ParallelRuntime:
     def _drain_shm_ring(self, shard: int, timeout: float) -> bool:
         """Consume at most one frame from *shard*'s output ring.
 
-        OUT frames decode into pending batches, DONE frames park the
-        worker's final stats for :meth:`_close_shm`, ERR frames abort.
-        Returns True when a frame was consumed.
+        OUT frames decode into pending batches — minus any leading rows
+        a replayed worker emitted before and the driver already has —
+        DONE frames park the worker's final stats for :meth:`close`, and
+        whatever the worker says about itself (HB, CKPT, ERR) goes to
+        :meth:`_worker_report`.  Returns True when a frame was consumed.
         """
         try:
             frame = self._out_rings[shard].get(timeout=timeout)
-        except RingClosedError:  # pragma: no cover - abort already ran
+        except RingClosedError:  # abort already ran, or the worker died
             return False
         if frame is None:
             return False
         kind, payload = frame
         if kind == shm_rings.OUT:
             registry = self.registry
+            started = perf_counter() if registry is not None else 0.0
+            emitted_before = int.from_bytes(payload[:8], "little")
+            batch = ColumnBatch.decode(memoryview(payload)[8:])
             if registry is not None:
-                started = perf_counter()
-                batch = ColumnBatch.decode(payload)
                 labels = {"shard": shard}
                 registry.counter(
                     "exchange_decode_seconds_total", labels
@@ -565,11 +657,15 @@ class ParallelRuntime:
                 registry.counter("exchange_bytes_total", labels).inc(
                     len(payload)
                 )
-            else:
-                batch = ColumnBatch.decode(payload)
             if self.telemetry is not None and batch.trace_id:
                 self.telemetry.note_output(batch.trace_id)
-            self._pending.append((shard, batch))
+            count = len(batch)
+            skip = self._delivered[shard] - emitted_before
+            if skip < count:
+                self._pending.append(
+                    (shard, batch if skip <= 0 else batch.slice(skip, count))
+                )
+                self._delivered[shard] = emitted_before + count
         elif kind == shm_rings.TELEM:
             if self.telemetry is not None:
                 self.telemetry.merge(pickle.loads(payload))
@@ -577,11 +673,29 @@ class ParallelRuntime:
                     self.on_telemetry(shard)
         elif kind == shm_rings.DONE:
             self._final_stats[shard] = pickle.loads(payload)
-        elif kind == shm_rings.ERR:
-            details = pickle.loads(payload)
+        else:
+            self._worker_report(shard, kind, pickle.loads(payload))
+        return True
+
+    @staticmethod
+    def _reported_failure(kind: int, message: Any) -> Optional[str]:
+        """The failure text in a worker's HB/ERR frame, if it holds one."""
+        if kind == shm_rings.ERR:
+            return message
+        if kind == shm_rings.HB and message[0] == "gap":
+            return (
+                f"sequence gap: worker expected {message[1]}, "
+                f"got {message[2]}"
+            )
+        return None
+
+    def _worker_report(self, shard: int, kind: int, message: Any) -> None:
+        """A worker reported on itself; nobody recovers a plain plan's
+        workers, so a failure report is the end of the run."""
+        details = self._reported_failure(kind, message)
+        if details is not None:
             self._abort()
             raise ShardError(shard, details)
-        return True
 
     def _note_output(self, message: Tuple) -> None:
         """Stash an ``("out", shard, elements)`` message for :meth:`poll`."""
@@ -672,19 +786,8 @@ class ParallelRuntime:
                     shard.detach(message[1])
             return
         if self._uses_shm:
-            for shard, in_ring in enumerate(self._in_rings):
-                try:
-                    while not in_ring.put_pickle(
-                        shm_rings.CTRL, message, timeout=0.05
-                    ):
-                        self._drain_shm_outputs()
-                except PeerDeadError:
-                    self._abort()
-                    raise ShardError(
-                        shard,
-                        f"worker process died (control {message[0]!r} "
-                        "undeliverable)",
-                    ) from None
+            for shard in range(self.num_shards):
+                self._send(shard, ("op", message))
             return
         for shard_queue in self._inputs:
             shard_queue.put(message)
@@ -718,61 +821,111 @@ class ParallelRuntime:
                 if depth > peak.value:
                     peak.set(depth)
         is_batch = isinstance(elements, ColumnBatch)
+        batch: Batch
         if self.envelope == "columnar":
             batch = (
                 elements
                 if is_batch
                 else ColumnBatch.from_elements(list(elements))
             )
-            if self.backend == "serial":
-                merge = self._serial_shards[shard]
-                buffer = self._serial_buffers[shard]
-                merge.process_columns(
-                    batch, stream_id, coalesce_stables=self.coalesce_stables
-                )
-                if buffer:
-                    self._pending.append((shard, buffer[:]))
-                    buffer.clear()
-            elif self.backend == "thread":
-                self._inputs[shard].put(("cols", stream_id, batch))
-            else:
-                self._submit_shm(shard, stream_id, batch)
-            return
-        plain = elements.to_elements() if is_batch else list(elements)
+        else:
+            batch = list(elements.to_elements() if is_batch else elements)
         if self.backend == "serial":
-            merge = self._serial_shards[shard]
             buffer = self._serial_buffers[shard]
-            merge.process_batch(
-                list(plain), stream_id, coalesce_stables=self.coalesce_stables
+            _apply(
+                self._serial_shards[shard],
+                stream_id,
+                batch,
+                self.coalesce_stables,
             )
             if buffer:
                 self._pending.append((shard, buffer[:]))
                 buffer.clear()
-            return
-        self._inputs[shard].put(("batch", stream_id, list(plain)))
+        elif self._uses_shm:
+            self._send(shard, ("batch", stream_id, batch))
+        else:
+            self._inputs[shard].put(("batch", stream_id, batch))
 
-    def _submit_shm(self, shard: int, stream_id, batch: ColumnBatch) -> None:
-        """Encode one batch straight into *shard*'s input ring.
+    # ------------------------------------------------------------------
+    # The shm exchange, driver side
+    # ------------------------------------------------------------------
 
-        While the ring is full, the driver drains the output rings — the
-        move that keeps bounded-in/bounded-out cycles deadlock-free.
+    def _send(self, shard: int, entry: Tuple) -> None:
+        """Number *entry* — ``("batch", stream_id, ColumnBatch)`` or
+        ``("op", op_tuple)`` — as *shard*'s next frame and deliver it."""
+        seq = self._next_seq[shard]
+        self._next_seq[shard] = seq + 1
+        if not self._put_entry(shard, seq, entry):
+            self._undeliverable(shard, f"frame {seq} ({entry[0]})")
+
+    def _undeliverable(self, shard: int, what: str) -> None:
+        exitcode = self._processes[shard].exitcode
+        self._abort()
+        raise ShardError(
+            shard,
+            f"worker process died (exitcode {exitcode}); {what} "
+            "undeliverable",
+        ) from None
+
+    def _shard_ok(self, shard: int) -> bool:
+        """Whether *shard* is still worth waiting on while its input
+        ring is full.  A plain plan's dead worker surfaces from the ring
+        itself (PeerDeadError), so there is nothing else to ask."""
+        return True
+
+    def _put_draining(self, shard: int, put: Callable[[], bool]) -> bool:
+        """Retry *put* (one bounded ring put) until the frame lands.
+
+        While the input ring is full the driver drains the output rings
+        — the move that keeps bounded-in/bounded-out cycles
+        deadlock-free.  False when the frame cannot land: the ring
+        closed or its worker died, or the shard stopped being ok.
         """
+        try:
+            while not put():
+                self._drain_shm_outputs()
+                if not self._shard_ok(shard):
+                    return False
+        except RingClosedError:
+            return False
+        return True
+
+    def _put_control(self, shard: int, message: Any) -> bool:
+        """Deliver one pickled control message to *shard*."""
+        ring = self._in_rings[shard]
+        return self._put_draining(
+            shard,
+            lambda: ring.put_pickle(shm_rings.CTRL, message, timeout=0.05),
+        )
+
+    def _put_entry(self, shard: int, seq: int, entry: Tuple) -> bool:
+        """Encode frame *seq* straight into *shard*'s input ring."""
+        if entry[0] != "batch":
+            return self._put_control(shard, ("op", seq, entry[1]))
+        _, stream_id, batch = entry
         registry = self.registry
         started = perf_counter() if registry is not None else 0.0
         telemetry = self.telemetry
         if telemetry is not None:
+            from repro.obs.telemetry import make_trace_id
+
             # Stamp lineage before encoding: the id rides the RCB1 frame
-            # into the worker and back on the triggering output batch.
-            batch.trace_id = telemetry.next_trace_id(shard)
+            # into the worker and back on the triggering output batch,
+            # and being a function of (shard, seq) it survives a replay.
+            batch.trace_id = make_trace_id(shard, seq)
             telemetry.note_submit(batch.trace_id)
         size, prebuilt = batch.encoded_size()
         sid_blob = pickle.dumps(stream_id, pickle.HIGHEST_PROTOCOL)
-        frame_size = 2 + len(sid_blob) + size
+        head = (
+            seq.to_bytes(8, "little")
+            + len(sid_blob).to_bytes(2, "little")
+            + sid_blob
+        )
+        frame_size = len(head) + size
 
         def fill(view: memoryview) -> None:
-            view[0:2] = len(sid_blob).to_bytes(2, "little")
-            view[2 : 2 + len(sid_blob)] = sid_blob
-            batch.encode_into(view[2 + len(sid_blob) :], prebuilt)
+            view[: len(head)] = head
+            batch.encode_into(view[len(head) :], prebuilt)
 
         ring = self._in_rings[shard]
         if registry is not None:
@@ -783,22 +936,17 @@ class ParallelRuntime:
             registry.counter("exchange_encode_seconds_total", labels).inc(
                 encode_seconds
             )
-        try:
-            while not ring.put_frame(
+        landed = self._put_draining(
+            shard,
+            lambda: ring.put_frame(
                 shm_rings.BATCH, frame_size, fill, timeout=0.05
-            ):
-                self._drain_shm_outputs()
-        except PeerDeadError:
-            exitcode = self._processes[shard].exitcode
-            self._abort()
-            raise ShardError(
-                shard,
-                f"worker process died mid-stream (exitcode {exitcode})",
-            ) from None
-        if registry is not None:
+            ),
+        )
+        if landed and registry is not None:
             registry.gauge("exchange_ring_occupancy", {"shard": shard}).set(
                 ring.occupancy
             )
+        return landed
 
     def poll(self) -> List[Tuple[int, Batch]]:
         """All output micro-batches ready right now, as ``(shard,

@@ -77,8 +77,8 @@ __all__ = [
 
 #: Frame kinds (one byte on the wire).
 CTRL = 1  #: pickled control tuple (attach / detach / shutdown sentinel)
-BATCH = 2  #: stream-id header + ColumnBatch wire frame (driver -> worker)
-OUT = 3  #: ColumnBatch wire frame of shard output (worker -> driver)
+BATCH = 2  #: u64 seq | u16 len | pickled stream id | RCB1 (driver -> worker)
+OUT = 3  #: u64 emitted_before | RCB1 of shard output (worker -> driver)
 DONE = 4  #: pickled final MergeStats (worker -> driver, last frame)
 ERR = 5  #: pickled worker traceback text (worker -> driver, last frame)
 HB = 6  #: pickled heartbeat/progress tuple (supervised worker -> driver)
@@ -144,7 +144,7 @@ FRAME_PROTOCOL: Dict[int, FrameSpec] = {
             producer="driver",
             terminal=False,
             discipline="bounded",
-            payload="stream-id header + ColumnBatch wire frame",
+            payload="u64 seq | u16 len | stream id | ColumnBatch wire frame",
         ),
         FrameSpec(
             kind=OUT,
@@ -152,7 +152,7 @@ FRAME_PROTOCOL: Dict[int, FrameSpec] = {
             producer="worker",
             terminal=False,
             discipline="blocking",
-            payload="ColumnBatch wire frame of shard output",
+            payload="u64 emitted_before | ColumnBatch wire frame of output",
         ),
         FrameSpec(
             kind=DONE,

@@ -30,10 +30,11 @@ module makes worker telemetry *live*:
   :class:`~repro.resilience.supervisor.RecoveryRecord`, so a chaos-kill
   postmortem shows the victim's final batches.
 
-Trace ids are compact u64s: ``(shard + 1) << 40 | seq``.  Supervised
-workers derive *seq* from the driver journal's batch sequence, so ids
-are stable across restart and replay — the flight recorder's span ids
-from before a crash match the driver-side journal entries after it.
+Trace ids are compact u64s: ``(shard + 1) << 40 | seq``, where *seq* is
+the number the shm exchange gave the batch's frame.  A replayed frame
+keeps its number, so ids are stable across restart and replay — the
+flight recorder's span ids from before a crash match the driver-side
+journal entries after it.
 
 Everything here is opt-in: no emitter, no aggregator, no cost.  The
 data-path guards stay the established ``registry is not None`` /
@@ -82,7 +83,7 @@ _SAMPLE_TAIL = 64
 
 
 def make_trace_id(shard: int, seq: int) -> int:
-    """The compact u64 trace id for batch *seq* on *shard*."""
+    """The compact u64 trace id for frame *seq* on *shard*."""
     return ((shard + 1) << _SHARD_SHIFT) | (seq & _SEQ_MASK)
 
 
@@ -218,11 +219,12 @@ class TelemetryAggregator:
     events forward into the driver tracer with their shard attached, so
     ``trace.jsonl`` holds one stitched cross-process timeline.
 
-    The aggregator also owns trace-id assignment for the plain
-    (unsupervised) runtime: :meth:`next_trace_id` stamps submits,
-    :meth:`note_output` closes the loop when the batch's result returns,
-    feeding the ``trace_stage_seconds{stage="exchange"}`` histogram with
-    per-batch round-trip wall latency.
+    The aggregator also times the exchange: the driver calls
+    :meth:`note_submit` with the id it stamps on a batch
+    (:func:`make_trace_id` of its shard and frame number) and
+    :meth:`note_output` when the batch's result returns, feeding the
+    ``trace_stage_seconds{stage="exchange"}`` histogram with per-batch
+    round-trip wall latency.
     """
 
     def __init__(
@@ -235,7 +237,6 @@ class TelemetryAggregator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.max_pending = max_pending
         self.merged_frames = 0
-        self._seqs: Dict[int, int] = {}
         self._pending: "OrderedDict[int, float]" = OrderedDict()
         self._rtt = registry.histogram(
             "trace_stage_seconds",
@@ -243,13 +244,7 @@ class TelemetryAggregator:
             help="Per-batch wall latency through a pipeline stage.",
         )
 
-    # -- trace-id assignment (driver side) -----------------------------
-
-    def next_trace_id(self, shard: int) -> int:
-        """A fresh trace id for the next batch submitted to *shard*."""
-        seq = self._seqs.get(shard, 0) + 1
-        self._seqs[shard] = seq
-        return make_trace_id(shard, seq)
+    # -- exchange round trips (driver side) ----------------------------
 
     def note_submit(self, trace_id: int) -> None:
         """Remember when *trace_id*'s batch entered the exchange."""

@@ -1,70 +1,67 @@
 """Supervised shard workers: crash detection, durable checkpoints, and
 restart-with-replay for the process-backend merge runtime.
 
-:class:`SupervisedRuntime` extends
-:class:`~repro.engine.parallel.ParallelRuntime` (process backend,
-columnar envelope, shared-memory rings) with the recovery path the paper
-assumes exists around LMerge (Section II — masking physical failure):
+The shm exchange (:mod:`repro.engine.parallel`) already numbers every
+frame it sends a shard, has the ring worker gate on that number, and
+has every ``OUT`` frame say how many rows the worker emitted before it.
+Supervision is the layer that puts those to work — the recovery path the
+paper assumes exists around LMerge (Section II — masking physical
+failure) — in two halves:
 
-* every frame the driver sends a shard carries a per-shard **sequence
-  number** and is retained in an in-memory journal until the worker
-  acknowledges a durable checkpoint covering it;
-* the worker **heartbeats** over the existing ring (``HB`` frames) when
-  idle and after every batch, and periodically persists a
-  :meth:`~repro.lmerge.base.LMergeBase.snapshot_state` into its own
-  :class:`~repro.resilience.store.StateStore` — preferentially right
-  after the merge's stable frontier (CTI) advances, so checkpoints sit
-  at CTI boundaries and the store compacts there;
-* the driver detects death three ways — ``process.is_alive()``,
-  :class:`~repro.engine.shm.PeerDeadError` from a ring operation, and a
-  stale heartbeat (hang detection) — and **recovers**: kill the
-  remnants, rebuild the rings, respawn the worker (which restores the
-  last durable snapshot), and replay the journal tail.  Restarts back
-  off exponentially and are bounded by ``max_restarts``, after which the
-  failure surfaces as the classic
-  :class:`~repro.engine.parallel.ShardError`;
-* worker **output dedup** makes recovery exact, not just equivalent:
-  each ``OUT`` frame carries the worker's cumulative emitted-count
-  before the batch, and replay is deterministic, so the driver slices
-  off exactly the rows it has already delivered.  The recovered output
-  is element-identical to the uninterrupted run's per-shard output.
+* :class:`_WorkerSupervision`, handed to the ring worker, owns the disk:
+  it restores the last durable
+  :meth:`~repro.lmerge.base.LMergeBase.snapshot_state` from the shard's
+  :class:`~repro.resilience.store.StateStore`, keeps the flight
+  recorder, fires the fault sites, and says when to checkpoint —
+  preferentially right after the merge's stable frontier (CTI)
+  advances, so checkpoints sit at CTI boundaries and the store compacts
+  there.  A worker that has one also **heartbeats** (``HB`` frames when
+  idle and after every batch);
+* :class:`SupervisedRuntime`, the driver, retains every numbered frame
+  in an in-memory **journal** until the worker acknowledges a durable
+  checkpoint covering it, detects death three ways —
+  ``process.is_alive()``, :class:`~repro.engine.shm.PeerDeadError` from
+  a ring operation, and a stale heartbeat (hang detection) — and
+  **recovers**: kill the remnants, rebuild the rings, respawn the worker
+  (which restores the last durable snapshot), and replay the journal
+  tail.  Restarts back off exponentially and are bounded by
+  ``max_restarts``, after which the failure surfaces as the classic
+  :class:`~repro.engine.parallel.ShardError`.
+
+Replay is deterministic, so the exchange's **output dedup** makes
+recovery exact, not just equivalent: the driver slices off exactly the
+rows it has already delivered, and the recovered output is
+element-identical to the uninterrupted run's per-shard output.
 
 The sequence gate also subsumes transport faults: a dropped or reordered
-frame shows up as a gap (the worker reports it and asks to be
-recovered), a duplicated frame is skipped.  The seeded
+frame shows up as a gap (the worker reports it and is recovered), a
+duplicated frame is skipped.  The seeded
 :class:`~repro.resilience.faults.FaultPlan` drives exactly these paths
 in the chaos tests.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import shm as shm_rings
-from repro.engine.columnar import ColumnBatch
 from repro.engine.parallel import (
     ParallelRuntime,
     ShardError,
     ShardFactory,
 )
-from repro.engine.shm import RingClosedError, ShmRing
+from repro.engine.shm import RingClosedError
 from repro.obs.telemetry import FlightRecorder, make_trace_id
 from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
 from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.resilience.store import StateStore
-from repro.temporal.elements import Element
 
 __all__ = ["SupervisedRuntime", "RecoveryRecord"]
-
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
 @dataclass
@@ -95,257 +92,106 @@ class RecoveryRecord:
         }
 
 
-@dataclass
-class _WorkerConfig:
-    """Everything a supervised worker process needs (picklable)."""
+class _WorkerSupervision:
+    """The worker half of supervision: everything that touches disk.
 
-    shard: int
-    factory: ShardFactory
-    store_dir: str
-    coalesce_stables: bool
-    heartbeat_interval: float
-    checkpoint_every: int
-    fault_plan: Optional[FaultPlan]
-    fault_floor: int
-    fsync: bool
-    telemetry_interval: float = 0.0
-    flight_capacity: int = 64
-
-
-def _supervised_shard_loop(
-    config: _WorkerConfig, in_ring: ShmRing, out_ring: ShmRing
-) -> None:
-    """One supervised worker incarnation.
-
-    Restores the last durable snapshot (if any), announces
-    ``("resumed", applied_seq, emitted)``, then applies sequenced frames
-    behind a duplicate/gap gate, checkpointing at CTI boundaries and
-    every *checkpoint_every* batches.
+    Built (picklable) by :meth:`SupervisedRuntime._spawn` and handed to
+    :func:`repro.engine.parallel._ring_shard_loop`, which calls it at
+    fixed points of a frame's life and puts every ring frame itself.
     """
-    shard = config.shard
-    try:
-        in_ring.child_deregister()
-        out_ring.child_deregister()
-        parent = multiprocessing.parent_process()
-        if parent is not None:
-            in_ring.set_liveness(parent.is_alive)
-            out_ring.set_liveness(parent.is_alive)
-        store = StateStore(
-            config.store_dir, fsync=config.fsync, name=f"shard-{shard}"
+
+    def __init__(
+        self,
+        store_dir: str,
+        heartbeat_interval: float,
+        checkpoint_every: int,
+        fault_plan: Optional[FaultPlan],
+        fault_floor: int,
+        fsync: bool,
+        flight_capacity: int,
+    ):
+        self.store_dir = store_dir
+        self.heartbeat_interval = heartbeat_interval
+        self.checkpoint_every = checkpoint_every
+        self.fault_plan = fault_plan
+        self.fault_floor = fault_floor
+        self.fsync = fsync
+        self.flight_capacity = flight_capacity
+
+    def open(self, shard: int, merge: Any) -> Tuple[int, int]:
+        """Open the shard's store and restore *merge* from its last
+        durable snapshot; returns where that leaves the worker, as
+        ``(applied_seq, emitted)``."""
+        self.shard = shard
+        self.merge = merge
+        self.store = StateStore(
+            self.store_dir, fsync=self.fsync, name=f"shard-{shard}"
         )
-        buffer: List[Element] = []
-        merge = config.factory(buffer.append)
-        applied_seq = 0
-        emitted = 0
-        loaded = load_snapshot(store)
+        # Always-on flight recorder: crashes are exactly the runs where
+        # opt-in diagnostics would have been off, and the per-batch cost
+        # is one dict append.
+        self.flight = FlightRecorder(capacity=self.flight_capacity)
+        applied_seq = emitted = 0
+        loaded = load_snapshot(self.store)
         if loaded is not None:
             merge_state, applied_seq, emitted = loaded
             merge.restore_state(merge_state)
-        plan = config.fault_plan
-        floor = config.fault_floor
-        batches_since_ckpt = 0
-        last_ckpt_stable = merge.max_stable
-        # Always-on flight recorder: crashes are exactly the runs where
-        # opt-in diagnostics would have been off, and the per-batch cost
-        # is one dict append.  Flushed on checkpoints and idle beats.
-        flight = FlightRecorder(capacity=config.flight_capacity)
-        emitter = observer = worker_tracer = None
-        if config.telemetry_interval > 0:
-            from repro.obs.lmerge_obs import LMergeObserver
-            from repro.obs.registry import MetricRegistry
-            from repro.obs.telemetry import TelemetryEmitter
-            from repro.obs.trace import RingTracer
+        self._batches_since_ckpt = 0
+        self._last_ckpt_stable = merge.max_stable
+        return applied_seq, emitted
 
-            worker_registry = MetricRegistry()
-            observer = LMergeObserver(merge, worker_registry)
-            worker_tracer = RingTracer(capacity=4096)
-            emitter = TelemetryEmitter(
-                worker_registry,
-                shard,
-                tracer=worker_tracer,
-                interval=config.telemetry_interval,
-            )
-        # Bounded like every heartbeat: if the driver is wedged with a
-        # full ring, blocking here would deadlock the restart — a missed
-        # announce is recovered by the driver's resume timeout instead.
-        out_ring.put_pickle(
-            shm_rings.HB, ("resumed", applied_seq, emitted), timeout=5.0
+    def idle(self) -> None:
+        self.flight.flush(self.store)
+
+    def batch_applied(
+        self, seq: int, rows_in: int, rows_out: int, seconds: float
+    ) -> None:
+        """Batch *seq* is applied and its output published: record it,
+        then fire the fault sites (so this may not return)."""
+        shard = self.shard
+        # Deterministic causal id, derived from the journal sequence: the
+        # same batch carries the same trace id across crash and replay,
+        # so these entries stitch into the driver-side trace.
+        self.flight.record(
+            "batch",
+            tid=make_trace_id(shard, seq),
+            seq=seq,
+            n=rows_in,
+            out=rows_out,
+            dur=seconds,
+            stable=self.merge.max_stable,
         )
-        while True:
-            frame = in_ring.get(timeout=config.heartbeat_interval)
-            if frame is None:
-                out_ring.put_pickle(
-                    shm_rings.HB, ("hb", applied_seq, emitted), timeout=0
-                )
-                if flight.dirty:
-                    flight.flush(store)
-                if emitter is not None:
-                    delta = emitter.maybe_delta()
-                    if delta is not None:
-                        out_ring.put_pickle(
-                            shm_rings.TELEM, delta, timeout=0
-                        )
-                continue
-            kind, payload = frame
-            if kind == shm_rings.BATCH:
-                seq = int.from_bytes(payload[:8], "little")
-                if seq <= applied_seq:
-                    continue  # duplicated delivery: already applied
-                if seq != applied_seq + 1:
-                    # A frame was lost or reordered in front of us; we
-                    # cannot apply out of order — ask to be recovered.
-                    out_ring.put_pickle(
-                        shm_rings.HB,
-                        ("gap", applied_seq + 1, seq),
-                        timeout=5.0,
-                    )
-                    return
-                sid_len = int.from_bytes(payload[8:10], "little")
-                stream_id = pickle.loads(payload[10 : 10 + sid_len])
-                batch = ColumnBatch.decode(
-                    memoryview(payload)[10 + sid_len :]
-                )
-                # Deterministic causal id: derived from the journal
-                # sequence, so the same batch carries the same trace id
-                # across crash/replay and the flight recorder's entries
-                # stitch into the driver-side trace.
-                tid = make_trace_id(shard, seq)
-                batch_started = perf_counter()
-                merge.process_columns(
-                    batch,
-                    stream_id,
-                    coalesce_stables=config.coalesce_stables,
-                )
-                applied_seq = seq
-                out_rows = 0
-                if buffer:
-                    out = ColumnBatch.from_elements(buffer[:])
-                    buffer.clear()
-                    out.trace_id = tid
-                    out_rows = len(out)
-                    size, prebuilt = out.encoded_size()
-                    header = emitted.to_bytes(8, "little")
+        # Flush per batch, not per checkpoint: the postmortem must show
+        # the victim's *final* batches, not its last durable ones.
+        self.flight.flush(self.store)
+        plan = self.fault_plan
+        if plan is not None:
+            if plan.kill_after(shard, seq, self.fault_floor):
+                os._exit(KILL_EXIT_CODE)
+            if plan.stall_after(shard, seq, self.fault_floor):
+                while True:  # simulated hang until the supervisor kills us
+                    time.sleep(0.05)
+        self._batches_since_ckpt += 1
 
-                    def fill(view: memoryview) -> None:
-                        view[0:8] = header
-                        out.encode_into(view[8:], prebuilt)
+    def checkpoint_due(self) -> bool:
+        return (
+            self._batches_since_ckpt >= self.checkpoint_every
+            or self.merge.max_stable > self._last_ckpt_stable
+        )
 
-                    out_ring.put_frame(shm_rings.OUT, 8 + size, fill)
-                    emitted += out_rows
-                flight.record(
-                    "batch",
-                    tid=tid,
-                    seq=seq,
-                    n=batch.n,
-                    out=out_rows,
-                    dur=perf_counter() - batch_started,
-                    stable=merge.max_stable,
-                )
-                # Flush per beat, not per checkpoint: a fault site fires
-                # before the checkpoint, and the postmortem must show the
-                # victim's *final* batches, not its last durable ones.
-                flight.flush(store)
-                if emitter is not None:
-                    # The worker half of the stitched trace: same tid the
-                    # driver journaled at submit, stable across replay.
-                    worker_tracer.record(
-                        "span",
-                        "shard-batch",
-                        tid=tid,
-                        n=batch.n,
-                        dur=perf_counter() - batch_started,
-                    )
-                    observer.sample(clock=float(applied_seq))
-                    delta = emitter.maybe_delta()
-                    if delta is not None:
-                        out_ring.put_pickle(
-                            shm_rings.TELEM, delta, timeout=0
-                        )
-                # Fault sites fire at the batch boundary, *before* the
-                # checkpoint: the killed batch is never durable, so
-                # recovery always has a tail to replay.
-                if plan is not None and plan.kill_after(shard, seq, floor):
-                    os._exit(KILL_EXIT_CODE)
-                if plan is not None and plan.stall_after(shard, seq, floor):
-                    while True:  # simulated hang until the supervisor kills us
-                        time.sleep(0.05)
-                out_ring.put_pickle(
-                    shm_rings.HB, ("hb", applied_seq, emitted), timeout=0
-                )
-                batches_since_ckpt += 1
-                if batches_since_ckpt >= config.checkpoint_every or (
-                    merge.max_stable > last_ckpt_stable
-                ):
-                    save_snapshot(store, merge, applied_seq, emitted)
-                    flight.flush(store)
-                    store.maybe_compact(min_dead_bytes=64 << 10)
-                    batches_since_ckpt = 0
-                    last_ckpt_stable = merge.max_stable
-                    out_ring.put_pickle(
-                        shm_rings.CKPT,
-                        ("auto", applied_seq, emitted, store.total_bytes),
-                        timeout=5.0,
-                    )
-            elif kind == shm_rings.CTRL:
-                message = pickle.loads(payload)
-                if message is None:
-                    save_snapshot(store, merge, applied_seq, emitted)
-                    flight.flush(store)
-                    if emitter is not None:
-                        observer.sample(clock=float(applied_seq))
-                        delta = emitter.delta()
-                        if delta is not None:
-                            out_ring.put_pickle(
-                                shm_rings.TELEM, delta, timeout=0
-                            )
-                    out_ring.put_pickle(shm_rings.DONE, merge.stats)
-                    store.close()
-                    return
-                tag = message[0]
-                if tag == "op":
-                    _, seq, op = message
-                    if seq <= applied_seq:
-                        continue
-                    if seq != applied_seq + 1:
-                        out_ring.put_pickle(
-                            shm_rings.HB,
-                            ("gap", applied_seq + 1, seq),
-                            timeout=5.0,
-                        )
-                        return
-                    if op[0] == "attach":
-                        merge.attach(op[1], op[2])
-                    else:
-                        merge.detach(op[1])
-                    applied_seq = seq
-                elif tag == "ckpt":
-                    save_snapshot(store, merge, applied_seq, emitted)
-                    flight.flush(store)
-                    store.maybe_compact(min_dead_bytes=64 << 10)
-                    batches_since_ckpt = 0
-                    last_ckpt_stable = merge.max_stable
-                    out_ring.put_pickle(
-                        shm_rings.CKPT,
-                        (message[1], applied_seq, emitted, store.total_bytes),
-                        timeout=5.0,
-                    )
-                else:  # pragma: no cover - driver and worker in lockstep
-                    raise ValueError(f"unknown control {message!r}")
-            else:  # pragma: no cover - driver and worker in lockstep
-                raise ValueError(f"unexpected frame kind {kind}")
-    except RingClosedError:
-        pass
-    except BaseException:
-        details = traceback.format_exc()
-        delivered = False
-        try:
-            delivered = out_ring.put_pickle(
-                shm_rings.ERR, details, timeout=5.0
-            )
-        except Exception:
-            pass
-        if not delivered:  # pragma: no cover - ERR frame could not land
-            sys.stderr.write(f"[supervised shard {shard}] {details}\n")
+    def checkpoint(self, applied_seq: int, emitted: int) -> int:
+        """Make the merge's state durable; returns the store's size."""
+        save_snapshot(self.store, self.merge, applied_seq, emitted)
+        self.flight.flush(self.store)
+        self.store.maybe_compact(min_dead_bytes=64 << 10)
+        self._batches_since_ckpt = 0
+        self._last_ckpt_stable = self.merge.max_stable
+        return self.store.total_bytes
+
+    def close(self, applied_seq: int, emitted: int) -> None:
+        save_snapshot(self.store, self.merge, applied_seq, emitted)
+        self.flight.flush(self.store)
+        self.store.close()
 
 
 #: Journal entries: ("batch", stream_id, ColumnBatch) or ("op", op_tuple).
@@ -427,38 +273,21 @@ class SupervisedRuntime(ParallelRuntime):
         self._journal: List[List[Tuple[int, _JournalEntry]]] = [
             [] for _ in range(n)
         ]
-        self._next_seq = [1] * n
-        self._delivered = [0] * n  # output elements handed downstream
         self._last_beat = [0.0] * n
         self._restarts = [0] * n
         self._needs_recovery = [False] * n
         self._recovery_reason = [""] * n
         self._last_ckpt_ack: List[Optional[Tuple]] = [None] * n
         self._delayed: List[Optional[Tuple[int, _JournalEntry]]] = [None] * n
-        self._worker_done = [False] * n
         self._ckpt_ident = 0
-        self._context = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "SupervisedRuntime":
-        if self._started:
-            raise RuntimeError("runtime already started")
-        self._started = True
-        self._init_telemetry()
-        self._context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
         os.makedirs(self.durable_dir, exist_ok=True)
-        self._in_rings = [None] * self.num_shards  # type: ignore[list-item]
-        self._out_rings = [None] * self.num_shards  # type: ignore[list-item]
-        self._processes = [None] * self.num_shards  # type: ignore[list-item]
-        for shard in range(self.num_shards):
-            self._spawn(shard)
+        super().start()
         for shard in range(self.num_shards):
             resumed = self._await_resumed(shard)
             if resumed is None:
@@ -477,15 +306,9 @@ class SupervisedRuntime(ParallelRuntime):
     def _store_dir(self, shard: int) -> str:
         return os.path.join(self.durable_dir, f"shard-{shard}")
 
-    def _spawn(self, shard: int) -> None:
-        """Create fresh rings and one worker process for *shard*."""
-        in_ring = ShmRing(self.ring_capacity)
-        out_ring = ShmRing(self.ring_capacity)
-        config = _WorkerConfig(
-            shard=shard,
-            factory=self.factory,
+    def _worker_supervision(self, shard: int) -> "_WorkerSupervision":
+        return _WorkerSupervision(
             store_dir=self._store_dir(shard),
-            coalesce_stables=self.coalesce_stables,
             heartbeat_interval=self.heartbeat_interval,
             checkpoint_every=self.checkpoint_every,
             fault_plan=self.fault_plan,
@@ -494,23 +317,8 @@ class SupervisedRuntime(ParallelRuntime):
             # delivered sequence are spent.
             fault_floor=self._next_seq[shard] - 1,
             fsync=self.fsync,
-            telemetry_interval=self.telemetry_interval,
             flight_capacity=self.flight_capacity,
         )
-        process = self._context.Process(
-            target=_supervised_shard_loop,
-            args=(config, in_ring, out_ring),
-            daemon=True,
-        )
-        process.start()
-        in_ring.set_liveness(process.is_alive)
-        out_ring.set_liveness(process.is_alive)
-        self._in_rings[shard] = in_ring
-        self._out_rings[shard] = out_ring
-        self._processes[shard] = process
-        self._last_beat[shard] = monotonic()
-        self._last_ckpt_ack[shard] = None
-        self._delayed[shard] = None
 
     def _await_resumed(self, shard: int) -> Optional[Tuple[int, int]]:
         """Wait for the worker's ``("resumed", applied, emitted)``."""
@@ -538,30 +346,24 @@ class SupervisedRuntime(ParallelRuntime):
     # Health & recovery
     # ------------------------------------------------------------------
 
-    def _shard_unhealthy(self, shard: int) -> bool:
-        if self._worker_done[shard]:
+    def _shard_ok(self, shard: int) -> bool:
+        """False once *shard* needs recovering — flagged by its own
+        report, dead, or silent past the heartbeat timeout — with the
+        reason recorded."""
+        if self._needs_recovery[shard]:
             return False
         process = self._processes[shard]
         if process is None or not process.is_alive():
             self._recovery_reason[shard] = self._recovery_reason[shard] or (
                 f"worker process died (exitcode {getattr(process, 'exitcode', None)})"
             )
-            return True
+            return False
         if monotonic() - self._last_beat[shard] > self.heartbeat_timeout:
             self._recovery_reason[shard] = (
                 f"heartbeat stalled for more than {self.heartbeat_timeout}s"
             )
-            return True
-        return False
-
-    def _service(self) -> None:
-        """Recover every shard flagged unhealthy (called from poll and
-        the delivery wait loops)."""
-        for shard in range(self.num_shards):
-            if self._worker_done[shard]:
-                continue
-            if self._needs_recovery[shard] or self._shard_unhealthy(shard):
-                self._recover(shard)
+            return False
+        return True
 
     def _read_flight(self, shard: int) -> List[dict]:
         """The dead worker's last flight-recorder flush (postmortem).
@@ -610,10 +412,7 @@ class SupervisedRuntime(ParallelRuntime):
             )
             # Salvage whatever the dying worker managed to publish (the
             # output dedup makes re-delivery after replay harmless).
-            try:
-                while self._drain_shm_ring(shard, timeout=0):
-                    pass
-            except RingClosedError:  # pragma: no cover - ring torn down
+            while self._drain_shm_ring(shard, timeout=0):
                 pass
             process = self._processes[shard]
             if process is not None and process.is_alive():
@@ -630,6 +429,8 @@ class SupervisedRuntime(ParallelRuntime):
             flight = self._read_flight(shard)
             self._needs_recovery[shard] = False
             self._recovery_reason[shard] = ""
+            self._last_ckpt_ack[shard] = None
+            self._delayed[shard] = None
             self._spawn(shard)
             resumed = self._await_resumed(shard)
             if resumed is None:
@@ -678,43 +479,13 @@ class SupervisedRuntime(ParallelRuntime):
     # Sequenced delivery
     # ------------------------------------------------------------------
 
-    def broadcast_attach(self, stream_id, guarantee_from=None) -> None:
-        from repro.temporal.time import MINUS_INFINITY
-
-        self._require_open()
-        if guarantee_from is None:
-            guarantee_from = MINUS_INFINITY
-        for shard in range(self.num_shards):
-            self._sequence(shard, ("op", ("attach", stream_id, guarantee_from)))
-
-    def broadcast_detach(self, stream_id) -> None:
-        self._require_open()
-        for shard in range(self.num_shards):
-            self._sequence(shard, ("op", ("detach", stream_id)))
-
-    def submit(self, shard: int, stream_id, elements) -> None:
-        self._require_open()
-        if not len(elements):
-            return
-        self.submitted += len(elements)
-        batch = (
-            elements
-            if isinstance(elements, ColumnBatch)
-            else ColumnBatch.from_elements(list(elements))
-        )
-        if self.registry is not None:
-            labels = {"shard": shard}
-            self.registry.counter(
-                "shard_elements_submitted_total", labels
-            ).inc(len(batch))
-        self._sequence(shard, ("batch", stream_id, batch))
-
-    def _sequence(self, shard: int, entry: _JournalEntry) -> None:
-        """Assign the next sequence number, journal, and deliver."""
+    def _send(self, shard: int, entry: _JournalEntry) -> None:
+        """Number the entry, journal it, *then* deliver — through the
+        fault plan's frame drop / duplicate / delay when one is set."""
         seq = self._next_seq[shard]
         self._next_seq[shard] = seq + 1
         self._journal[shard].append((seq, entry))
-        if self._needs_recovery[shard] or self._shard_unhealthy(shard):
+        if not self._shard_ok(shard):
             # The entry is journaled; recovery's replay delivers it.
             self._recover(shard)
             return
@@ -735,119 +506,24 @@ class SupervisedRuntime(ParallelRuntime):
         if not ok:
             self._recover(shard)
 
-    def _put_entry(
-        self, shard: int, seq: int, entry: _JournalEntry
-    ) -> bool:
-        """Encode one journal entry into *shard*'s input ring.
-
-        Returns False (instead of spinning) when the worker needs
-        recovery — dead, ring torn, heartbeat stalled with a full ring.
-        """
-        ring = self._in_rings[shard]
-        try:
-            if entry[0] == "batch":
-                _, stream_id, batch = entry
-                if self.telemetry is not None:
-                    # The worker derives the same id from (shard, seq),
-                    # so submit/output pairing survives crash + replay.
-                    self.telemetry.note_submit(make_trace_id(shard, seq))
-                size, prebuilt = batch.encoded_size()
-                sid_blob = pickle.dumps(stream_id, _PICKLE_PROTOCOL)
-                frame_size = 10 + len(sid_blob) + size
-                seq_header = seq.to_bytes(8, "little")
-
-                def fill(view: memoryview) -> None:
-                    view[0:8] = seq_header
-                    view[8:10] = len(sid_blob).to_bytes(2, "little")
-                    view[10 : 10 + len(sid_blob)] = sid_blob
-                    batch.encode_into(view[10 + len(sid_blob) :], prebuilt)
-
-                while not ring.put_frame(
-                    shm_rings.BATCH, frame_size, fill, timeout=0.05
-                ):
-                    self._drain_shm_outputs()
-                    if self._needs_recovery[shard] or self._shard_unhealthy(
-                        shard
-                    ):
-                        return False
-            else:
-                message = ("op", seq, entry[1])
-                while not ring.put_pickle(
-                    shm_rings.CTRL, message, timeout=0.05
-                ):
-                    self._drain_shm_outputs()
-                    if self._needs_recovery[shard] or self._shard_unhealthy(
-                        shard
-                    ):
-                        return False
-        except RingClosedError:
-            return False
-        return True
-
-    def _put_control(self, shard: int, message) -> bool:
-        """Send an un-sequenced control frame (checkpoint request or the
-        shutdown sentinel)."""
-        ring = self._in_rings[shard]
-        try:
-            while not ring.put_pickle(shm_rings.CTRL, message, timeout=0.05):
-                self._drain_shm_outputs()
-                if self._needs_recovery[shard] or self._shard_unhealthy(shard):
-                    return False
-        except RingClosedError:
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Output path
     # ------------------------------------------------------------------
 
     def _drain_shm_ring(self, shard: int, timeout: float) -> bool:
-        if self._out_rings[shard] is None:  # pragma: no cover - torn down
-            return False
-        try:
-            frame = self._out_rings[shard].get(timeout=timeout)
-        except RingClosedError:
-            return False
-        if frame is None:
-            return False
-        self._last_beat[shard] = monotonic()
-        kind, payload = frame
-        if kind == shm_rings.OUT:
-            emitted_before = int.from_bytes(payload[:8], "little")
-            batch = ColumnBatch.decode(memoryview(payload)[8:])
-            if self.telemetry is not None and batch.trace_id:
-                self.telemetry.note_output(batch.trace_id)
-            count = len(batch)
-            skip = self._delivered[shard] - emitted_before
-            if skip < count:
-                self._pending.append(
-                    (shard, batch if skip <= 0 else batch.slice(skip, count))
-                )
-            self._delivered[shard] = max(
-                self._delivered[shard], emitted_before + count
-            )
-        elif kind == shm_rings.HB:
-            message = pickle.loads(payload)
-            if message[0] == "gap":
-                self._needs_recovery[shard] = True
-                self._recovery_reason[shard] = (
-                    f"sequence gap: worker expected {message[1]}, "
-                    f"got {message[2]}"
-                )
-        elif kind == shm_rings.TELEM:
-            if self.telemetry is not None:
-                self.telemetry.merge(pickle.loads(payload))
-                if self.on_telemetry is not None:
-                    self.on_telemetry(shard)
-        elif kind == shm_rings.CKPT:
-            message = pickle.loads(payload)
+        got = super()._drain_shm_ring(shard, timeout)
+        if got:
+            self._last_beat[shard] = monotonic()  # any frame is a beat
+        return got
+
+    def _worker_report(self, shard: int, kind: int, message: Any) -> None:
+        if kind == shm_rings.CKPT:
             self._note_checkpoint(shard, message)
-        elif kind == shm_rings.DONE:
-            self._final_stats[shard] = pickle.loads(payload)
-        elif kind == shm_rings.ERR:
+            return
+        reason = self._reported_failure(kind, message)
+        if reason is not None:
             self._needs_recovery[shard] = True
-            self._recovery_reason[shard] = pickle.loads(payload)
-        return True
+            self._recovery_reason[shard] = reason
 
     def _note_checkpoint(self, shard: int, message: Tuple) -> None:
         """A durable checkpoint landed: trim the journal behind it."""
@@ -867,7 +543,9 @@ class SupervisedRuntime(ParallelRuntime):
     def poll(self):
         self._require_started()
         if not self._closed:
-            self._service()
+            for shard in range(self.num_shards):
+                if not self._shard_ok(shard):
+                    self._recover(shard)
         return super().poll()
 
     # ------------------------------------------------------------------
@@ -880,7 +558,7 @@ class SupervisedRuntime(ParallelRuntime):
         trailing dropped/delayed frame into a recovery instead of silent
         loss."""
         while True:
-            if self._needs_recovery[shard] or self._shard_unhealthy(shard):
+            if not self._shard_ok(shard):
                 self._recover(shard)
                 continue
             target = self._next_seq[shard] - 1
@@ -893,7 +571,7 @@ class SupervisedRuntime(ParallelRuntime):
             ack: Optional[Tuple] = None
             while monotonic() < deadline:
                 self._drain_shm_ring(shard, timeout=0.05)
-                if self._needs_recovery[shard] or self._shard_unhealthy(shard):
+                if not self._shard_ok(shard):
                     break
                 last = self._last_ckpt_ack[shard]
                 if last is not None and last[0] == ident:
@@ -912,12 +590,9 @@ class SupervisedRuntime(ParallelRuntime):
             )
             self._recover(shard)
 
-    def close(self) -> List[Any]:
-        self._require_started()
-        if self._closed:
-            return self._stats
-        self._closed = True
-        stats: List[Any] = [None] * self.num_shards
+    def _stop_workers(self) -> None:
+        """One shard at a time: flush handshake, sentinel, wait for DONE
+        — recovering and starting over if the worker dies on the way."""
         for shard in range(self.num_shards):
             while shard not in self._final_stats:
                 self._flush_shard(shard)
@@ -936,16 +611,6 @@ class SupervisedRuntime(ParallelRuntime):
                     # Died between flush and DONE; recover and retry the
                     # shutdown handshake from the checkpoint.
                     self._recover(shard)
-            stats[shard] = self._final_stats[shard]
-            self._worker_done[shard] = True
-        self._join_or_escalate(stats)
-        for ring in (*self._in_rings, *self._out_rings):
-            if ring is not None:
-                ring.destroy()
-        self._in_rings = []
-        self._out_rings = []
-        self._stats = stats
-        return stats
 
     # ------------------------------------------------------------------
     # Introspection

@@ -58,6 +58,16 @@ def divergent_inputs(
     ]
 
 
+def data_by_key(elements) -> dict:
+    """Per-(Vs, payload) element sequences, ignoring punctuation — the
+    sharded-equivalence notion of element-identical output."""
+    ordered: dict = {}
+    for element in elements:
+        if not isinstance(element, Stable):
+            ordered.setdefault((element.vs, element.payload), []).append(element)
+    return ordered
+
+
 def merge_with_oracle(
     merge: LMergeBase,
     inputs: Sequence[PhysicalStream],

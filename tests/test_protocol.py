@@ -47,10 +47,32 @@ class TestRepoSites:
     def test_every_default_module_site_is_clean(self):
         report = verify_paths(DEFAULT_PROTOCOL_PATHS)
         assert report.ok, report.render()
-        # The concurrent modules carry a substantial ring surface; a
-        # collapse here means the site scanner went blind, not that the
-        # code got simpler.
-        assert len(report.sites) >= 20
+        sites = report.sites
+        # A pin, not a floor: a site that drops out of the scanner's
+        # view must fail here, and so must a second worker or a second
+        # driver-side put loop.  The exchange ships 15 ring sites.
+        assert len(sites) == 15, report.render()
+        assert not [s for s in sites if s.role == "unknown"]
+        # Every declared frame kind has a verified put site.
+        assert {s.kind for s in sites if s.op != "get"} == {
+            spec.name for spec in FRAME_PROTOCOL.values()
+        }
+        # One ring worker: every worker-role site sits in one function
+        # of engine/parallel.py, so DONE/ERR terminality is checked over
+        # the whole worker's CFG, supervised or not.
+        assert {
+            (s.path, s.function) for s in sites if s.role == "worker"
+        } == {("src/repro/engine/parallel.py", "_ring_shard_loop")}
+        # The driver reads a ring in two places: the drain and the
+        # supervisor's wait for a respawned worker's announce.
+        assert sorted(
+            (s.path, s.function)
+            for s in sites
+            if s.role == "driver" and s.op == "get"
+        ) == [
+            ("src/repro/engine/parallel.py", "_drain_shm_ring"),
+            ("src/repro/resilience/supervisor.py", "_await_resumed"),
+        ]
 
     def test_report_counts_match_sites(self):
         report = verify_paths(DEFAULT_PROTOCOL_PATHS)

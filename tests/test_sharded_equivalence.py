@@ -22,7 +22,7 @@ from repro.temporal.elements import Stable
 from repro.temporal.tdb import reconstitute
 from repro.theory.equivalence import equivalent_prefixes
 
-from conftest import divergent_inputs, small_stream
+from conftest import data_by_key, divergent_inputs, small_stream
 
 ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
 
@@ -82,16 +82,6 @@ class TestShardedTdbEquivalence:
             unsharded_out = variant().merge_batched(
                 inputs, schedule="round_robin", batch_size=64
             )
-
-            def data_by_key(elements):
-                ordered = {}
-                for element in elements:
-                    if isinstance(element, Stable):
-                        continue
-                    ordered.setdefault((element.vs, element.payload), []).append(
-                        element
-                    )
-                return ordered
 
             assert data_by_key(sharded_out) == data_by_key(unsharded_out)
 

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.engine.parallel import ParallelRuntime, ShardError
+from repro.engine.parallel import ParallelRuntime, ShardError, merge_factory
 from repro.engine.shm import CTRL, PeerDeadError, RingClosedError, ShmRing
 from repro.lmerge.base import MergeStats
 from repro.lmerge.r3 import LMergeR3
@@ -107,6 +107,19 @@ class TestKillRecovery:
             registry.gauge("state_store_bytes", {"store": "shard-0"}).value
             > 0
         )
+        # A supervised plan rides the same exchange as a plain one, so
+        # it records the same exchange series.
+        for s in range(2):
+            for name in (
+                "exchange_batches_total",
+                "exchange_bytes_total",
+                "exchange_encode_seconds_total",
+                "exchange_decode_seconds_total",
+            ):
+                assert registry.counter(name, {"shard": s}).value > 0, name
+        assert "exchange_ring_occupancy" in {
+            gauge["name"] for gauge in registry.snapshot()["gauge"]
+        }
 
 
 class TestStallDetection:
@@ -146,6 +159,23 @@ class TestBoundedRestarts:
             runtime.close()
         assert "max_restarts" in str(excinfo.value)
         assert runtime.restarts == [2]
+
+
+class TestSequenceGate:
+    def test_unsupervised_gap_is_named_in_the_shard_error(self):
+        """The ring worker gates on frame numbers for every shm plan; a
+        plain plan has nobody to recover it, so a skipped number surfaces
+        as a ShardError that says what was expected and what arrived."""
+        runtime = ParallelRuntime(
+            merge_factory(LMergeR3), 1, backend="process"
+        ).start()
+        runtime.broadcast_attach(0)  # frame 1
+        runtime._next_seq[0] += 1  # frame 2 is never sent
+        runtime.submit(0, 0, list(small_stream(count=8, seed=1)))
+        with pytest.raises(ShardError) as excinfo:
+            runtime.close()
+        assert "expected 2" in str(excinfo.value)
+        assert "got 3" in str(excinfo.value)
 
 
 class TestRingLiveness:

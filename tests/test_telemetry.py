@@ -22,20 +22,8 @@ from repro.obs.telemetry import (
 from repro.obs.trace import RingTracer
 from repro.resilience.store import StateStore
 
-from repro.temporal.elements import Stable
 
-from conftest import divergent_inputs, small_stream
-
-
-def _data_by_key(elements):
-    """Per-(Vs, payload) element sequences, ignoring punctuation — the
-    sharded-equivalence notion of element-identical output."""
-    ordered = {}
-    for element in elements:
-        if isinstance(element, Stable):
-            continue
-        ordered.setdefault((element.vs, element.payload), []).append(element)
-    return ordered
+from conftest import data_by_key, divergent_inputs, small_stream
 
 
 class TestTraceIds:
@@ -193,7 +181,7 @@ class TestTelemetryAggregator:
         registry = MetricRegistry()
         tracer = RingTracer(capacity=8)
         agg = TelemetryAggregator(registry, tracer=tracer)
-        tid = agg.next_trace_id(0)
+        tid = make_trace_id(0, 1)
         agg.note_submit(tid)
         agg.note_output(tid)
         hist = registry.histogram("trace_stage_seconds", {"stage": "exchange"})
@@ -202,13 +190,6 @@ class TestTelemetryAggregator:
         assert event["op"] == "exchange" and event["tid"] == tid
         agg.note_output(tid)  # unknown/already-closed ids are ignored
         assert hist.count == 1
-
-    def test_next_trace_id_monotonic_per_shard(self):
-        agg = TelemetryAggregator(MetricRegistry())
-        a, b = agg.next_trace_id(0), agg.next_trace_id(0)
-        c = agg.next_trace_id(1)
-        assert trace_seq(b) == trace_seq(a) + 1
-        assert trace_shard(c) == 1 and trace_seq(c) == 1
 
     def test_pending_bounded(self):
         agg = TelemetryAggregator(MetricRegistry(), max_pending=4)
@@ -290,7 +271,7 @@ class TestLiveTelemetry:
         # same per-key element sequences and reconstitutes to the same
         # TDB.  (Raw order across shards varies with poll timing in any
         # process-backend run, telemetry or not.)
-        assert _data_by_key(output) == _data_by_key(baseline_out)
+        assert data_by_key(output) == data_by_key(baseline_out)
         assert output.tdb() == baseline_out.tdb() == reference.tdb()
 
         # Worker deltas landed under per-shard labels while running.
