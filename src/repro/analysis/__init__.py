@@ -1,6 +1,8 @@
 """Static and runtime analysis for repro stream plans.
 
-Coordinated passes (see the submodules for detail):
+Import the submodule you need — this package root imports nothing, so
+reaching :mod:`repro.analysis.checked` from the merge CLI does not pay
+for the lint, the model checker or the protocol verifier:
 
 1. **Property flow** (:mod:`repro.analysis.propflow`) — infer
    per-operator :class:`StreamProperties` over a wired plan graph and
@@ -10,10 +12,10 @@ Coordinated passes (see the submodules for detail):
    per operator class, that no ``Stable(...)`` emission can regress
    below an already-promised CTI; verdicts ride along in
    :func:`check_plan` output;
-3. **Repo lint** (:mod:`repro.analysis.lint`) — AST + dataflow rules
-   (REP101…REP113) encoding engine invariants: replayability,
-   punctuation handling, element immutability, slotted layouts, no
-   blocking inside ring reserve/commit windows, no unused suppressions;
+3. **Repo lint** (:mod:`repro.analysis.lint`) — seven AST rules
+   encoding engine invariants: replayability, punctuation handling,
+   columnar handlers staying columnar, registry lookups out of hot
+   loops, no unused suppressions;
 4. **Ring-protocol verification** (:mod:`repro.analysis.protocol`) —
    statically check every :class:`ShmRing` ``put``/``get`` site against
    the declared :data:`FRAME_PROTOCOL` (producer role, terminal-ness,
@@ -28,107 +30,8 @@ Coordinated passes (see the submodules for detail):
    confirming the static verdicts dynamically.
 
 Shared infrastructure lives in :mod:`repro.analysis.flow`: per-function
-CFGs, a forward-dataflow solver, and :class:`ModuleContext`, which lets
-every rule share one parse, one node-type index, and one CFG per
-function per file.
+CFGs and :class:`ModuleContext`, which lets every rule share one parse,
+one node-type index, and one CFG per function per file.
 
 CLI: ``python -m repro.analysis {lint,check-plan,protocol,model,rules}``.
 """
-
-from repro.analysis.checked import (
-    JointOrderTracker,
-    MergeCheck,
-    PropertyChecker,
-    PropertyViolationError,
-)
-from repro.analysis.flow import (
-    CFG,
-    BasicBlock,
-    ForwardAnalysis,
-    ModuleContext,
-    context_for_source,
-)
-from repro.analysis.lint import (
-    RULES,
-    Finding,
-    LintReport,
-    LintStats,
-    lint_file,
-    lint_paths,
-    lint_paths_report,
-    lint_source,
-    render_docs_catalog,
-    rules_markdown,
-)
-from repro.analysis.model import (
-    MUTATIONS,
-    ModelParams,
-    ModelResult,
-    check_model,
-)
-from repro.analysis.propflow import (
-    GraphAnalysis,
-    MergeSite,
-    PlanCheck,
-    SiteCheck,
-    UnsoundPlanError,
-    analyze_graph,
-    check_plan,
-    verify_plan,
-)
-from repro.analysis.protocol import (
-    DEFAULT_PROTOCOL_PATHS,
-    ProtocolReport,
-    RingSite,
-    verify_paths,
-    verify_source,
-)
-from repro.analysis.punct import (
-    ClassPunctuation,
-    StableSite,
-    classify_source,
-    punctuation_of,
-)
-
-__all__ = [
-    "BasicBlock",
-    "CFG",
-    "ClassPunctuation",
-    "DEFAULT_PROTOCOL_PATHS",
-    "Finding",
-    "ForwardAnalysis",
-    "GraphAnalysis",
-    "JointOrderTracker",
-    "LintReport",
-    "LintStats",
-    "MUTATIONS",
-    "MergeCheck",
-    "MergeSite",
-    "ModelParams",
-    "ModelResult",
-    "ModuleContext",
-    "PlanCheck",
-    "PropertyChecker",
-    "PropertyViolationError",
-    "ProtocolReport",
-    "RULES",
-    "RingSite",
-    "SiteCheck",
-    "StableSite",
-    "UnsoundPlanError",
-    "analyze_graph",
-    "check_model",
-    "check_plan",
-    "classify_source",
-    "context_for_source",
-    "lint_file",
-    "lint_paths",
-    "lint_paths_report",
-    "lint_source",
-    "punctuation_of",
-    "render_docs_catalog",
-    "rules_markdown",
-    "verify_paths",
-    "verify_plan",
-    "verify_source",
-]

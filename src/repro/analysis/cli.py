@@ -38,7 +38,7 @@ from repro.analysis.lint import (
     CATALOG_BEGIN,
     RULES,
     SEVERITY_ERROR,
-    lint_paths_report,
+    lint_paths,
     render_docs_catalog,
     rules_markdown,
 )
@@ -63,29 +63,17 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    report = lint_paths_report(args.paths, rules=args.rules)
-    elapsed = time.perf_counter() - started
-    findings = report.findings
+    findings = lint_paths(args.paths, rules=args.rules)
     errors = [f for f in findings if f.severity == SEVERITY_ERROR]
     warnings = [f for f in findings if f.severity != SEVERITY_ERROR]
-    over_budget = (
-        args.budget_seconds is not None and elapsed > args.budget_seconds
-    )
     if args.format == "json":
-        stats = report.stats.to_json()
-        stats["wall_seconds"] = round(elapsed, 4)
-        if args.budget_seconds is not None:
-            stats["budget_seconds"] = args.budget_seconds
-            stats["within_budget"] = not over_budget
         _emit(
             json.dumps(
                 {
-                    "ok": not errors and not over_budget,
+                    "ok": not errors,
                     "errors": len(errors),
                     "warnings": len(warnings),
                     "findings": [f.to_json() for f in findings],
-                    "stats": stats,
                 },
                 indent=2,
             ),
@@ -97,13 +85,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"{len(errors)} error(s), {len(warnings)} warning(s) in "
             f"{len(args.paths)} path(s)"
         )
-        if over_budget:
-            lines.append(
-                f"BUDGET EXCEEDED: {elapsed:.2f}s > "
-                f"{args.budget_seconds:.2f}s"
-            )
         _emit("\n".join(lines), args.output)
-    if errors or over_budget or (args.strict and warnings):
+    if errors or (args.strict and warnings):
         return 1
     return 0
 
@@ -305,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--output", help="write the report here")
     lint.add_argument(
         "--strict", action="store_true", help="fail on warnings too"
-    )
-    lint.add_argument(
-        "--budget-seconds",
-        type=float,
-        help="fail if the lint pass exceeds this wall-clock budget",
     )
     lint.set_defaults(func=_cmd_lint)
 

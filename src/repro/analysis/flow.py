@@ -1,29 +1,22 @@
-"""Per-function control-flow graphs and forward dataflow for the lint.
+"""Per-function control-flow graphs and the shared per-module parse.
 
-PR 5's rules were single-pass AST walks: fine for "no ``print``", but
-the concurrency invariants PRs 6-9 introduced are *path* properties — "no
-blocking call **between** a ring-slot reserve and its commit", "every
-path through an except handler re-raises or emits punctuation".  Those
-need a control-flow graph and a fixpoint, not a walk.  This module
-provides both, plus the shared per-module cache that keeps the growing
-rule count at one parse (and one CFG build per function) per module:
+Most lint rules are single-pass AST walks, but the ring protocol's
+terminality check is a *path* property — "no non-terminal put is
+reachable after a DONE/ERR put on the same ring" — and needs a
+control-flow graph, not a walk.  This module provides it, plus the
+shared per-module cache that keeps every rule and verifier at one parse
+(and one CFG build per function) per module:
 
 * :func:`build_cfg` — a statement-level CFG for one function body:
   basic blocks, branch/loop/try edges, explicit entry/exit.  ``try``
   bodies edge into their handlers from every contained block (the
   conservative "an exception may fire anywhere" reading), ``finally``
   bodies are inlined on the fall-through path, ``break``/``continue``/
-  ``return``/``raise`` cut the block.
-* :class:`ForwardAnalysis` — a worklist solver over a CFG.  Subclasses
-  provide the lattice (:meth:`initial`, :meth:`join`) and the transfer
-  function (:meth:`transfer`); :meth:`run` iterates block transfers to a
-  fixpoint and returns the state at entry of every block (and for
-  convenience at every statement).
+  ``return``/``raise`` cut the block.  :meth:`CFG.statements_after` is
+  the reachability query :mod:`repro.analysis.protocol` asks.
 * :class:`ModuleContext` — one parsed module shared by every rule:
   source, AST, line table, the function/class index, and a lazily built,
-  cached CFG per function.  :func:`context_for_source` stamps parse and
-  CFG-build timings onto the context so the CLI's JSON report can prove
-  the one-parse-per-module property CI budgets rely on.
+  cached CFG per function.
 
 The framework is deliberately conservative: anything it cannot model
 (``with`` bodies, ``match`` statements, comprehension control flow) is
@@ -36,19 +29,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "BasicBlock",
     "CFG",
-    "ForwardAnalysis",
     "FunctionInfo",
     "ModuleContext",
     "build_cfg",
-    "call_name",
     "context_for_source",
-    "is_literal",
     "iter_functions",
     "keyword_value",
     "receiver_text",
@@ -80,20 +69,6 @@ class CFG:
     blocks: List[BasicBlock]
     entry: int
     exit: int
-
-    def block(self, index: int) -> BasicBlock:
-        return self.blocks[index]
-
-    def reachable_from(self, start: int) -> List[int]:
-        """Block indices reachable from *start* (inclusive)."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            for successor in self.blocks[stack.pop()].successors:
-                if successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-        return sorted(seen)
 
     def statements_after(
         self, block_index: int, statement_index: int
@@ -278,69 +253,6 @@ def build_cfg(function: Any) -> CFG:
     return _CFGBuilder(function).build()
 
 
-class ForwardAnalysis:
-    """A forward dataflow pass over one CFG.
-
-    Subclasses define the lattice and transfer::
-
-        class Reserved(ForwardAnalysis):
-            def initial(self): return False
-            def join(self, a, b): return a or b
-            def transfer(self, state, stmt): ...
-
-    :meth:`run` returns ``(block_in, statement_in)`` where *block_in*
-    maps block index -> state at block entry and *statement_in* maps
-    ``id(stmt)`` -> state immediately before that statement.  States must
-    be immutable values (bools, frozensets, tuples) — transfer returns a
-    new state, never mutates.
-    """
-
-    #: Iteration safety valve; the lattices rules use are tiny, so a
-    #: non-terminating transfer is a rule bug worth failing loudly on.
-    max_iterations = 10_000
-
-    def initial(self) -> Any:
-        raise NotImplementedError
-
-    def join(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def transfer(self, state: Any, statement: ast.stmt) -> Any:
-        raise NotImplementedError
-
-    def run(self, cfg: CFG) -> Tuple[Dict[int, Any], Dict[int, Any]]:
-        block_in: Dict[int, Any] = {cfg.entry: self.initial()}
-        worklist: List[int] = [cfg.entry]
-        iterations = 0
-        while worklist:
-            iterations += 1
-            if iterations > self.max_iterations:
-                raise RuntimeError(
-                    f"dataflow failed to converge in {self.max_iterations} "
-                    f"iterations — non-monotone transfer?"
-                )
-            index = worklist.pop()
-            state = block_in[index]
-            for statement in cfg.blocks[index].statements:
-                state = self.transfer(state, statement)
-            for successor in cfg.blocks[index].successors:
-                if successor not in block_in:
-                    block_in[successor] = state
-                    worklist.append(successor)
-                else:
-                    merged = self.join(block_in[successor], state)
-                    if merged != block_in[successor]:
-                        block_in[successor] = merged
-                        worklist.append(successor)
-        statement_in: Dict[int, Any] = {}
-        for index, entry_state in block_in.items():
-            state = entry_state
-            for statement in cfg.blocks[index].statements:
-                statement_in[id(statement)] = state
-                state = self.transfer(state, statement)
-        return block_in, statement_in
-
-
 @dataclass
 class FunctionInfo:
     """One function (or method) in a module's index."""
@@ -377,17 +289,13 @@ class ModuleContext:
 
     Rules receive the same context object, so the AST walk products they
     need repeatedly — the function index, per-function CFGs — are built
-    once and memoized here.  The ``parse_seconds``/``cfg_seconds``
-    counters feed the CLI's JSON ``stats`` block, which CI asserts a
-    wall-clock budget over.
+    once and memoized here.
     """
 
     path: str
     source: str
     tree: ast.Module
     lines: List[str]
-    parse_seconds: float = 0.0
-    cfg_seconds: float = 0.0
     _functions: Optional[List[FunctionInfo]] = None
     _cfgs: Dict[int, CFG] = field(default_factory=dict)
     _node_index: Optional[Dict[type, List[ast.AST]]] = None
@@ -420,15 +328,9 @@ class ModuleContext:
         key = id(function)
         cached = self._cfgs.get(key)
         if cached is None:
-            started = perf_counter()
             cached = build_cfg(function)
-            self.cfg_seconds += perf_counter() - started
             self._cfgs[key] = cached
         return cached
-
-    @property
-    def cfg_builds(self) -> int:
-        return len(self._cfgs)
 
     def enclosing_class(self, function: Any) -> Optional[str]:
         for info in self.functions:
@@ -443,15 +345,11 @@ def context_for_source(source: str, path: str = "<string>") -> ModuleContext:
     Raises :class:`SyntaxError` like :func:`ast.parse` — callers that
     need a finding instead (the lint driver) catch it there.
     """
-    started = perf_counter()
-    tree = ast.parse(source, filename=path)
-    elapsed = perf_counter() - started
     return ModuleContext(
         path=path,
         source=source,
-        tree=tree,
+        tree=ast.parse(source, filename=path),
         lines=source.splitlines(),
-        parse_seconds=elapsed,
     )
 
 
@@ -523,16 +421,6 @@ def statement_tree(body: Iterable[ast.stmt]) -> List[ast.stmt]:
     return found
 
 
-def call_name(node: ast.expr) -> Optional[str]:
-    """The trailing name of a call target: ``f`` for ``f(...)``, ``m``
-    for ``obj.a.m(...)``; None for anything else."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def receiver_text(node: ast.expr) -> str:
     """A lowercase dotted rendering of a call receiver, for name-pattern
     matching (``self._out_rings[shard]`` -> ``self._out_rings``)."""
@@ -559,6 +447,3 @@ def keyword_value(call: ast.Call, name: str) -> Optional[ast.expr]:
             return keyword.value
     return None
 
-
-def is_literal(node: Optional[ast.expr], value: Any) -> bool:
-    return isinstance(node, ast.Constant) and node.value == value

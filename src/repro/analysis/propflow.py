@@ -188,28 +188,6 @@ class GraphAnalysis:
     def properties_of(self, operator: Operator) -> StreamProperties:
         return self.properties[operator]
 
-    def describe(self) -> str:
-        """Human-readable per-operator inference table."""
-        lines = []
-        for operator in self.order:
-            properties = self.properties[operator]
-            flags = (
-                ",".join(
-                    flag
-                    for flag in PROPERTY_FLAGS
-                    if getattr(properties, flag)
-                )
-                or "-"
-            )
-            transfer = getattr(operator, "property_transfer", "")
-            lines.append(
-                f"{operator.name:24} {classify(properties).name}  "
-                f"[{flags}]  {transfer}"
-            )
-        for operator in self.cyclic:
-            lines.append(f"{operator.name:24} R4  [cycle: pessimized]")
-        return "\n".join(lines)
-
     def site_input_properties(self, site: MergeSite) -> StreamProperties:
         """The meet of the properties arriving at a site's inputs.
 

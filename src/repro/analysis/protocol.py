@@ -80,7 +80,6 @@ __all__ = [
 DEFAULT_PROTOCOL_PATHS = (
     "src/repro/engine/parallel.py",
     "src/repro/resilience/supervisor.py",
-    "src/repro/obs/telemetry.py",
 )
 
 _PUT_METHODS = ("put", "put_pickle", "put_frame")

@@ -30,9 +30,6 @@ class Operator:
     catch wiring mistakes) and :meth:`derive_properties`.
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "pessimistic default: no guarantee survives"
-
     #: Human-readable operator kind.
     kind = "operator"
     #: The observability tracer (class default: the shared no-op).  The

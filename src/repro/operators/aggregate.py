@@ -98,9 +98,6 @@ class WindowedCount(_WindowedOperator):
     the stale count plus an insert of the new one) on every change.
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "conservative: strongest (R0 shape); aggressive/speculative: key only"
-
     kind = "aggregate"
 
     def __init__(
@@ -219,9 +216,6 @@ class GroupedCount(_WindowedOperator):
     differs across replicas — the R2 shape.  Aggressive output adds
     revisions — the R3 shape.
     """
-
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "conservative: ordered+insert-only+key (R2 shape); else key only"
 
     kind = "aggregate"
 
@@ -352,9 +346,6 @@ class TopK(_WindowedOperator):
     Vs and are emitted in deterministic (rank) order on every replica —
     the R1 shape (duplicate timestamps, deterministic same-Vs order).
     """
-
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "ordered, insert-only, deterministic rank order, keyed (R1 shape)"
 
     kind = "aggregate"
 

@@ -25,9 +25,6 @@ class AlterLifetime(Operator):
     output lifetime does not depend on the input's Ve); cancels propagate.
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "preserves every guarantee (Vs and payload untouched)"
-
     kind = "alter-lifetime"
 
     def __init__(

@@ -38,9 +38,6 @@ from repro.temporal.time import Timestamp
 class Cleanse(Operator):
     """Buffering reorder: disordered/revised in, ordered insert-only out."""
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "enforces ordered / insert-only / deterministic; key passes through"
-
     kind = "cleanse"
 
     def __init__(self, name: str = "cleanse"):

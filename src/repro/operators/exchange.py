@@ -119,9 +119,6 @@ class ShardPort(Operator):
     """One output port of a :class:`HashPartition` — a pure passthrough
     that downstream shard sub-graphs subscribe to."""
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "pure passthrough: preserves every guarantee"
-
     kind = "exchange-port"
 
     def __init__(self, shard: int, name: str = ""):
@@ -156,9 +153,6 @@ class HashPartition(Operator):
     an ordered stream is ordered, same-Vs determinism and keys survive —
     so each port reports the input properties unchanged.
     """
-
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "per-shard sub-sequence: preserves every guarantee"
 
     kind = "partition"
 
@@ -275,9 +269,6 @@ class ShardUnion(Operator):
     when the pointwise minimum of the shard frontiers advances to ``t``,
     because the merged output can only promise what every shard promises.
     """
-
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "meet of shards, then forfeits order and determinism; key survives"
 
     kind = "shard-union"
 

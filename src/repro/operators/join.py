@@ -29,9 +29,6 @@ Key = Tuple[Timestamp, Payload]
 class TemporalJoin(Operator):
     """Two-input interval join with revision propagation."""
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "forfeits order and insert-onliness; pair key survives keyed inputs"
-
     kind = "join"
     LEFT = 0
     RIGHT = 1

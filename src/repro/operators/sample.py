@@ -29,9 +29,6 @@ _BUCKETS = 2**32
 class Sample(Operator):
     """Keep a deterministic *fraction* of events (and their revisions)."""
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "preserves every guarantee (only removes elements)"
-
     kind = "sample"
 
     def __init__(self, fraction: float, seed: int = 0, name: str = "sample"):

@@ -19,9 +19,6 @@ class Filter(Operator):
     downstream has seen), and punctuation always passes.
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "preserves every guarantee (only removes elements)"
-
     kind = "filter"
 
     def __init__(self, predicate: Callable[[Payload], bool], name: str = "filter"):
@@ -56,9 +53,6 @@ class MapPayload(Operator):
     *injective* declares whether distinct payloads stay distinct — the
     key property ``(Vs, payload)`` survives only then (Section IV-G).
     """
-
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "injective: preserves all; non-injective: forfeits the (Vs, payload) key"
 
     kind = "map"
 

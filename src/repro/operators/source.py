@@ -24,9 +24,6 @@ class StreamSource(Operator):
     fast-forwarding).
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "stipulates the source's declared (or measured) properties"
-
     kind = "source"
 
     def __init__(

@@ -55,9 +55,6 @@ class UdfFilter(Operator):
     many real microseconds per evaluated element for wall-clock benches.
     """
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "preserves every guarantee (selection; feedback drops are key-safe)"
-
     kind = "udf"
 
     def __init__(

@@ -20,9 +20,6 @@ from repro.temporal.time import MINUS_INFINITY, Timestamp
 class Union(Operator):
     """Arrival-order union of *num_inputs* streams."""
 
-    #: Transfer function summary (surfaced by repro.analysis docs/reports).
-    property_transfer = "meet of inputs, then forfeits order, determinism, and the key"
-
     kind = "union"
 
     def __init__(self, num_inputs: int, name: str = "union"):

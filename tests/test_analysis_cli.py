@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.analysis.cli import build_parser, main
+from repro.analysis.lint import RULES
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -24,46 +25,9 @@ class TestLintReport:
     def test_schema(self, tmp_path):
         code, payload = _run_json(tmp_path, ["lint", "src/repro/analysis"])
         assert code == 0
-        assert set(payload) == {
-            "ok",
-            "errors",
-            "warnings",
-            "findings",
-            "stats",
-        }
+        assert set(payload) == {"ok", "errors", "warnings", "findings"}
         assert payload["ok"] is True
-        stats = payload["stats"]
-        assert set(stats) >= {
-            "files",
-            "rules",
-            "parse_seconds",
-            "cfg_seconds",
-            "rule_seconds",
-            "cfg_functions",
-            "parses_per_file",
-            "wall_seconds",
-        }
-        # The shared-pass contract: one parse per file, ever.
-        assert stats["parses_per_file"] == 1
-        assert stats["files"] > 0
-
-    def test_budget_recorded_and_enforced(self, tmp_path):
-        code, payload = _run_json(
-            tmp_path,
-            ["lint", "src/repro/analysis", "--budget-seconds", "120"],
-        )
-        assert code == 0
-        assert payload["stats"]["budget_seconds"] == 120.0
-        assert payload["stats"]["within_budget"] is True
-
-    def test_blown_budget_fails(self, tmp_path):
-        code, payload = _run_json(
-            tmp_path,
-            ["lint", "src/repro/analysis", "--budget-seconds", "0.000001"],
-        )
-        assert code == 1
-        assert payload["ok"] is False
-        assert payload["stats"]["within_budget"] is False
+        assert payload["findings"] == []
 
     def test_findings_entry_shape(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -173,7 +137,8 @@ class TestRulesCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("| rule | severity | meaning |")
-        assert "REP110" in out
+        rows = [line for line in out.splitlines() if line.startswith("| REP")]
+        assert [row.split()[1] for row in rows] == sorted(RULES)
 
     def test_check_docs_in_sync(self):
         assert main(["rules", "--check-docs"]) == 0

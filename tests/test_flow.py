@@ -1,10 +1,9 @@
-"""CFG construction, dataflow solving, and shared-pass caching."""
+"""CFG construction and shared-pass caching."""
 
 import ast
 import textwrap
 
 from repro.analysis.flow import (
-    ForwardAnalysis,
     build_cfg,
     context_for_source,
     receiver_text,
@@ -150,60 +149,6 @@ class TestCFGShape:
         assert "cleanup()" in _after(cfg, "use(item)")
 
 
-class _AssignedNames(ForwardAnalysis):
-    """Names definitely assigned on every path (must-analysis)."""
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a & b
-
-    def transfer(self, state, statement):
-        if isinstance(statement, ast.Assign):
-            names = {
-                t.id for t in statement.targets if isinstance(t, ast.Name)
-            }
-            return state | names
-        return state
-
-
-class TestForwardAnalysis:
-    def test_branch_join_is_intersection(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                common = 1
-                if x:
-                    left = 1
-                else:
-                    right = 1
-                tail = 1
-            """
-        )
-        _, statement_in = _AssignedNames().run(cfg)
-        block, index = _find(cfg, "tail = 1")
-        tail = cfg.blocks[block].statements[index]
-        state = statement_in[id(tail)]
-        assert "common" in state
-        assert "left" not in state and "right" not in state
-
-    def test_loop_reaches_fixpoint(self):
-        cfg = _cfg(
-            """
-            def f(n):
-                while n:
-                    inside = 1
-                after = 1
-            """
-        )
-        _, statement_in = _AssignedNames().run(cfg)
-        block, index = _find(cfg, "after = 1")
-        state = statement_in[id(cfg.blocks[block].statements[index])]
-        # The loop may run zero times: `inside` is not definitely assigned.
-        assert "inside" not in state
-
-
 class TestModuleContext:
     SOURCE = """
     import time
@@ -231,7 +176,6 @@ class TestModuleContext:
         ctx = context_for_source(textwrap.dedent(self.SOURCE))
         fn = next(f.node for f in ctx.functions if f.node.name == "top")
         assert ctx.cfg(fn) is ctx.cfg(fn)
-        assert ctx.cfg_builds == 1
 
     def test_enclosing_class(self):
         ctx = context_for_source(textwrap.dedent(self.SOURCE))

@@ -101,12 +101,6 @@ class TestAnalyzeGraph:
         mapping = query.property_map()
         assert mapping[query.tail].strictly_increasing
 
-    def test_describe_renders_transfers(self):
-        query = _grouped_replicas(n=1)[0]
-        text = analyze_graph(query).describe()
-        assert "grouped0" in text
-        assert "key only" in text  # GroupedCount.property_transfer
-
 
 class TestSoundness:
     def test_matching_selection_is_exact(self):

@@ -53,6 +53,9 @@ class TestRepoSites:
         # driver-side put loop.  The exchange ships 15 ring sites.
         assert len(sites) == 15, report.render()
         assert not [s for s in sites if s.role == "unknown"]
+        # Every default module still speaks the protocol: a module whose
+        # ring sites all moved away must leave the list, not rot in it.
+        assert {s.path for s in sites} == set(DEFAULT_PROTOCOL_PATHS)
         # Every declared frame kind has a verified put site.
         assert {s.kind for s in sites if s.op != "get"} == {
             spec.name for spec in FRAME_PROTOCOL.values()

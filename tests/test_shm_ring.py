@@ -14,6 +14,8 @@ import pickle
 import time
 from struct import Struct
 
+import pytest
+
 from repro.engine.shm import BATCH, DONE, ShmRing
 
 FRAMES = 200_000
@@ -105,5 +107,40 @@ def test_pickled_ring_maps_the_same_counters():
             assert ring.frames == 0
         finally:
             clone.detach()
+    finally:
+        ring.destroy()
+
+
+@pytest.mark.parametrize("parked", [0, 4000], ids=["contiguous", "wrapping"])
+def test_failed_fill_publishes_nothing(parked):
+    """Reserve -> commit: ``fill`` runs between the space check and the
+    tail store, so a ``fill`` that writes and then raises must propagate,
+    publish no frame, hold no view of ring storage, and leave the ring
+    usable — through both branches of ``put_frame``."""
+    ring = ShmRing(4096)
+    views = []
+
+    def fill(view):
+        views.append(view)
+        view[:4] = b"junk"
+        raise RuntimeError("encode failed")
+
+    try:
+        if parked:
+            # Move head and tail near the end of the data area so the
+            # next 200-byte payload straddles it (the scratch branch).
+            ring.put(BATCH, bytes(parked))
+            assert ring.get(timeout=0) == (BATCH, bytes(parked))
+        with pytest.raises(RuntimeError, match="encode failed"):
+            ring.put_frame(BATCH, 200, fill, timeout=0)
+        assert ring.frames == 0 and ring.used_bytes == 0
+        assert ring.get(timeout=0) is None
+        if parked:
+            assert isinstance(views[0].obj, bytearray)  # scratch, not shm
+        else:
+            with pytest.raises(ValueError):  # released: no export pins shm
+                views[0][0]
+        assert ring.put(BATCH, b"next", timeout=0)
+        assert ring.get(timeout=0) == (BATCH, b"next")
     finally:
         ring.destroy()
