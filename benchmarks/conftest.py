@@ -318,8 +318,8 @@ def run_merge_sharded(
     """Sharded counterpart of :func:`run_merge_batched`.
 
     Same interleaving and batch size, but the micro-batches flow through
-    an N-shard partitioned plan (``HashPartition`` -> per-shard workers ->
-    ``ShardUnion``).  The clock includes the final drain (``close``), so
+    an N-shard partitioned plan (``partition_columns`` -> per-shard
+    workers -> ``ShardUnion``).  The clock includes the final drain (``close``), so
     worker startup/teardown is charged to the run like any exchange cost.
     """
     import time

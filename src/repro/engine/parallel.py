@@ -76,6 +76,13 @@ ShardFactory = Callable[[Callable[[Element], None]], Any]
 BACKENDS = ("serial", "thread", "process")
 ENVELOPES = ("object", "columnar")
 
+#: Micro-batches a shard's input queue holds before :meth:`submit
+#: <ParallelRuntime.submit>` blocks (thread backend, and process backend
+#: with the object envelope).  The shm exchange is bounded by its ring.
+QUEUE_CAPACITY = 64
+#: Bytes in each shm ring, one input and one output ring per shard.
+RING_CAPACITY = 1 << 20
+
 #: One poll()/submit() result: an element list (object envelope, or any
 #: queue-backed backend's output) or a ColumnBatch (shm exchange output).
 Batch = Union[List[Element], ColumnBatch]
@@ -378,11 +385,9 @@ class ParallelRuntime:
         factory: ShardFactory,
         num_shards: int,
         backend: str = "thread",
-        queue_capacity: int = 64,
         coalesce_stables: bool = False,
         registry=None,
         envelope: str = "columnar",
-        ring_capacity: int = 1 << 20,
         telemetry_interval: float = 0.0,
         tracer=None,
     ):
@@ -394,14 +399,10 @@ class ParallelRuntime:
             raise ValueError(
                 f"unknown envelope {envelope!r}; expected {ENVELOPES}"
             )
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be positive")
         self.factory = factory
         self.num_shards = num_shards
         self.backend = backend
         self.envelope = envelope
-        self.queue_capacity = queue_capacity
-        self.ring_capacity = ring_capacity
         self.coalesce_stables = coalesce_stables
         #: Optional :class:`repro.obs.registry.MetricRegistry`: when set,
         #: submit/poll keep per-shard queue-depth gauges and element
@@ -464,7 +465,7 @@ class ParallelRuntime:
                 self._serial_shards.append(self.factory(buffer.append))
         elif self.backend == "thread":
             self._inputs = [
-                queue.Queue(maxsize=self.queue_capacity)
+                queue.Queue(maxsize=QUEUE_CAPACITY)
                 for _ in range(self.num_shards)
             ]
             self._output = queue.SimpleQueue()
@@ -503,7 +504,7 @@ class ParallelRuntime:
                     self._spawn(shard)
             else:  # object envelope: pickled queues
                 self._inputs = [
-                    self._context.Queue(maxsize=self.queue_capacity)
+                    self._context.Queue(maxsize=QUEUE_CAPACITY)
                     for _ in range(self.num_shards)
                 ]
                 self._output = self._context.Queue()
@@ -529,8 +530,8 @@ class ParallelRuntime:
 
     def _spawn(self, shard: int) -> None:
         """Create fresh rings and one ring worker for *shard*."""
-        in_ring = ShmRing(self.ring_capacity)
-        out_ring = ShmRing(self.ring_capacity)
+        in_ring = ShmRing(RING_CAPACITY)
+        out_ring = ShmRing(RING_CAPACITY)
         process = self._context.Process(
             target=_ring_shard_loop,
             args=(

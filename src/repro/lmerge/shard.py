@@ -3,10 +3,10 @@ hash-partitioned plan.
 
 The plan is the exchange sandwich::
 
-    inputs --HashPartition--> N x LMerge(variant) --ShardUnion--> output
-              (by payload key,      (one worker         (data in arrival
-               stables broadcast)    per shard)          order; CTI = min
-                                                         shard frontier)
+    inputs --partition_columns--> N x LMerge(variant) --ShardUnion--> output
+              (by payload key,          (one worker        (data in arrival
+               stables broadcast)        per shard)         order; CTI = min
+                                                            shard frontier)
 
 Why this is lossless: every LMerge decision — duplicate elimination,
 adjust reconciliation, freeze-out — is made per ``(Vs, payload)`` key
@@ -42,9 +42,7 @@ from repro.lmerge.base import (
     interleave_batches,
 )
 from repro.operators.exchange import (
-    KeyFunction,
     ShardUnion,
-    identity_key,
     partition_batch,
     partition_columns,
 )
@@ -54,23 +52,32 @@ from repro.temporal.time import MINUS_INFINITY, Timestamp
 
 
 class ShardedLMerge:
-    """An N-shard partitioned LMerge plan with the LMergeBase surface."""
+    """An N-shard partitioned LMerge plan with the LMergeBase surface.
+
+    Its keywords are the whole configuration of a sharded plan; queue
+    and ring sizes live in :mod:`repro.engine.parallel` and supervision
+    timings in :mod:`repro.resilience.supervisor` as module constants.
+    ``durable_dir``, ``fault_plan`` and ``fsync`` configure supervision,
+    so they need ``supervised=True``.  Any other keyword is the variant's
+    own (``reclamation=``, ``policy=``).
+    """
+
+    #: Prefix of the union and sink operator names.
+    name = "sharded-lmerge"
 
     def __init__(
         self,
         merge_cls: Type[LMergeBase],
         num_shards: int,
+        *,
         backend: str = "thread",
-        key_fn: Optional[KeyFunction] = None,
-        queue_capacity: int = 64,
         coalesce_stables: bool = False,
-        name: str = "sharded-lmerge",
         registry=None,
         envelope: str = "columnar",
         supervised: bool = False,
         durable_dir: Optional[str] = None,
         fault_plan=None,
-        supervisor_options: Optional[dict] = None,
+        fsync: bool = False,
         telemetry_interval: float = 0.0,
         tracer=None,
         **merge_kwargs,
@@ -93,6 +100,11 @@ class ShardedLMerge:
                     "supervised plans need durable_dir for their "
                     "per-shard state stores"
                 )
+        elif durable_dir is not None or fault_plan is not None or fsync:
+            raise ValueError(
+                "durable_dir, fault_plan and fsync configure supervision; "
+                "pass supervised=True"
+            )
         self.merge_cls = merge_cls
         self.algorithm = f"{merge_cls.algorithm}x{num_shards}[{backend}]"
         self.restriction = merge_cls.restriction
@@ -103,8 +115,6 @@ class ShardedLMerge:
         #: to end (shared-memory rings on the process backend);
         #: ``"object"`` is the PR3-era element-list path.
         self.envelope = envelope
-        self.key_fn: KeyFunction = key_fn or identity_key
-        self.name = name
         #: Optional :class:`repro.obs.registry.MetricRegistry`: threads
         #: through the worker runtime (queue depths), the union (frontier
         #: gauges), and a :class:`repro.obs.lmerge_obs.ShardObserver`
@@ -116,37 +126,32 @@ class ShardedLMerge:
         self.telemetry_interval = telemetry_interval
         self.tracer = tracer
         self._union = ShardUnion(
-            num_shards, name=f"{name}.union", registry=registry
+            num_shards, name=f"{self.name}.union", registry=registry
         )
-        sink = CollectorSink(name=f"{name}.out")
+        sink = CollectorSink(name=f"{self.name}.out")
         self._union.subscribe(sink)
         self.output = sink.stream
+        factory = merge_factory(merge_cls, **merge_kwargs)
+        shared = dict(
+            coalesce_stables=coalesce_stables,
+            registry=registry,
+            telemetry_interval=telemetry_interval,
+            tracer=tracer,
+        )
         if supervised:
             from repro.resilience.supervisor import SupervisedRuntime
 
             self._runtime = SupervisedRuntime(
-                merge_factory(merge_cls, **merge_kwargs),
+                factory,
                 num_shards,
                 durable_dir=durable_dir,
                 fault_plan=fault_plan,
-                queue_capacity=queue_capacity,
-                coalesce_stables=coalesce_stables,
-                registry=registry,
-                telemetry_interval=telemetry_interval,
-                tracer=tracer,
-                **(supervisor_options or {}),
+                fsync=fsync,
+                **shared,
             ).start()
         else:
             self._runtime = ParallelRuntime(
-                merge_factory(merge_cls, **merge_kwargs),
-                num_shards,
-                backend=backend,
-                queue_capacity=queue_capacity,
-                coalesce_stables=coalesce_stables,
-                registry=registry,
-                envelope=envelope,
-                telemetry_interval=telemetry_interval,
-                tracer=tracer,
+                factory, num_shards, backend=backend, envelope=envelope, **shared
             ).start()
         self._observer = None
         if registry is not None:
@@ -202,8 +207,9 @@ class ShardedLMerge:
         *,
         coalesce_stables: bool = False,
     ) -> None:
-        """Partition one micro-batch across the shards and collect any
-        shard output that is ready.
+        """Partition one micro-batch (an element sequence or a
+        :class:`~repro.engine.columnar.ColumnBatch`) across the shards and
+        collect any shard output that is ready.
 
         ``coalesce_stables`` is fixed per plan (a worker-side setting);
         the keyword is accepted for LMergeBase interface compatibility.
@@ -218,23 +224,13 @@ class ShardedLMerge:
                 if isinstance(elements, ColumnBatch)
                 else ColumnBatch.from_elements(list(elements))
             )
-            buckets = partition_columns(batch, self.num_shards, self.key_fn)
+            buckets = partition_columns(batch, self.num_shards)
         else:
-            buckets = partition_batch(elements, self.num_shards, self.key_fn)
+            buckets = partition_batch(elements, self.num_shards)
         for shard, bucket in enumerate(buckets):
             if bucket:
                 runtime.submit(shard, stream_id, bucket)
         self._collect()
-
-    def process_columns(
-        self,
-        batch: ColumnBatch,
-        stream_id: StreamId,
-        *,
-        coalesce_stables: bool = False,
-    ) -> None:
-        """Columnar entry point mirroring ``LMergeBase.process_columns``."""
-        self.process_batch(batch, stream_id, coalesce_stables=coalesce_stables)
 
     def _collect(self) -> None:
         union = self._union
@@ -349,22 +345,7 @@ class ShardedLMerge:
 
 
 def shard(
-    variant: Union[Type[LMergeBase], object],
-    num_shards: int,
-    *,
-    backend: str = "thread",
-    key_fn: Optional[KeyFunction] = None,
-    queue_capacity: int = 64,
-    coalesce_stables: bool = False,
-    registry=None,
-    envelope: str = "columnar",
-    supervised: bool = False,
-    durable_dir: Optional[str] = None,
-    fault_plan=None,
-    supervisor_options: Optional[dict] = None,
-    telemetry_interval: float = 0.0,
-    tracer=None,
-    **merge_kwargs,
+    variant: Union[Type[LMergeBase], object], num_shards: int, **options
 ) -> ShardedLMerge:
     """Wrap an LMerge variant in an N-shard partition-parallel plan.
 
@@ -373,7 +354,8 @@ def shard(
     :class:`~repro.streams.properties.StreamProperties`, or an iterable of
     per-input properties — the latter three resolve through the Section
     IV-G selector, so ``shard(properties, 4)`` picks the cheapest correct
-    algorithm and parallelizes it.
+    algorithm and parallelizes it.  *options* are
+    :class:`ShardedLMerge`'s keywords.
 
     >>> plan = shard(LMergeR3, 4, backend="process")
     >>> out = plan.merge([replica_a, replica_b])
@@ -383,20 +365,4 @@ def shard(
         from repro.lmerge.selector import algorithm_for
 
         variant = algorithm_for(variant)
-    return ShardedLMerge(
-        variant,
-        num_shards,
-        backend=backend,
-        key_fn=key_fn,
-        queue_capacity=queue_capacity,
-        coalesce_stables=coalesce_stables,
-        registry=registry,
-        envelope=envelope,
-        supervised=supervised,
-        durable_dir=durable_dir,
-        fault_plan=fault_plan,
-        supervisor_options=supervisor_options,
-        telemetry_interval=telemetry_interval,
-        tracer=tracer,
-        **merge_kwargs,
-    )
+    return ShardedLMerge(variant, num_shards, **options)

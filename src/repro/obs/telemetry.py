@@ -227,15 +227,9 @@ class TelemetryAggregator:
     round-trip wall latency.
     """
 
-    def __init__(
-        self,
-        registry: MetricRegistry,
-        tracer=None,
-        max_pending: int = _MAX_PENDING,
-    ):
+    def __init__(self, registry: MetricRegistry, tracer=None):
         self.registry = registry
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.max_pending = max_pending
         self.merged_frames = 0
         self._pending: "OrderedDict[int, float]" = OrderedDict()
         self._rtt = registry.histogram(
@@ -250,7 +244,7 @@ class TelemetryAggregator:
         """Remember when *trace_id*'s batch entered the exchange."""
         pending = self._pending
         pending[trace_id] = perf_counter()
-        while len(pending) > self.max_pending:
+        while len(pending) > _MAX_PENDING:
             pending.popitem(last=False)
 
     def note_output(self, trace_id: int) -> None:

@@ -16,8 +16,8 @@ These are the query-plan building blocks the paper composes around LMerge:
   factory when chained after an aggregate);
 * :class:`UdfFilter` — a selection UDF with a value-dependent cost model
   (the Figure 10 plan-switching workload);
-* :class:`HashPartition` / :class:`ShardUnion` — CTI-aligned exchange
-  operators for partition-parallel plans (stables broadcast on the way
+* :func:`partition_batch` / :class:`ShardUnion` — the CTI-aligned
+  exchange for partition-parallel plans (stables broadcast on the way
   out, min-frontier punctuation on the way back).
 """
 
@@ -35,12 +35,7 @@ from repro.operators.cleanse import Cleanse
 from repro.operators.alter_lifetime import AlterLifetime
 from repro.operators.udf import UdfFilter, ValueBandCost
 from repro.operators.sample import Sample
-from repro.operators.exchange import (
-    HashPartition,
-    ShardPort,
-    ShardUnion,
-    partition_batch,
-)
+from repro.operators.exchange import ShardUnion, partition_batch
 
 __all__ = [
     "StreamSource",
@@ -57,8 +52,6 @@ __all__ = [
     "UdfFilter",
     "ValueBandCost",
     "Sample",
-    "HashPartition",
-    "ShardPort",
     "ShardUnion",
     "partition_batch",
 ]

@@ -1,24 +1,23 @@
-"""CTI-aligned exchange operators for partition-parallel plans.
+"""CTI-aligned exchange for partition-parallel plans.
 
 LMerge is embarrassingly partitionable: every merge decision is made per
 ``(Vs, payload)`` key from that key's own state plus the global stable
 frontier.  Hash-partitioning each input by a payload key therefore yields
 per-shard merges whose outputs union back losslessly — provided the two
-exchange operators here keep the punctuation semantics intact:
+halves of the exchange here keep the punctuation semantics intact:
 
-* :class:`HashPartition` routes ``insert``/``adjust`` elements to one of N
-  shard ports by a payload key function and **broadcasts** every
-  ``stable()`` to all ports, so each shard's frontier advances exactly as
-  the unsharded merge's would;
+* :func:`partition_batch` / :func:`partition_columns` route
+  ``insert``/``adjust`` elements to one of N shards by a payload key
+  function and **broadcast** every ``stable()`` to all shards, so each
+  shard's frontier advances exactly as the unsharded merge's would;
 * :class:`ShardUnion` re-merges the shard outputs and emits a combined
   ``stable()`` only at the **minimum frontier across shards** — the output
   may not promise ``t`` until every shard has (CTI alignment, the
   correctness crux of the whole scheme).
 
-Both operators are plain push-based :class:`~repro.engine.operator.Operator`
-subclasses, usable in any query graph; :mod:`repro.lmerge.shard` composes
-them with :class:`~repro.engine.parallel.ParallelRuntime` into the
-``shard()`` helper.
+:mod:`repro.lmerge.shard` composes them with
+:class:`~repro.engine.parallel.ParallelRuntime` into the ``shard()``
+helper.
 """
 
 from __future__ import annotations
@@ -113,151 +112,6 @@ def partition_columns(
     return [
         batch if len(bucket) == n else batch.take(bucket) for bucket in rows
     ]
-
-
-class ShardPort(Operator):
-    """One output port of a :class:`HashPartition` — a pure passthrough
-    that downstream shard sub-graphs subscribe to."""
-
-    kind = "exchange-port"
-
-    def __init__(self, shard: int, name: str = ""):
-        super().__init__(name or f"shard[{shard}]")
-        self.shard = shard
-
-    def receive(self, element: Element, port: int = 0) -> None:
-        self.elements_in += 1
-        self.emit(element)
-
-    def receive_batch(self, elements: Sequence[Element], port: int = 0) -> None:
-        self.elements_in += len(elements)
-        self.emit_batch(elements)
-
-    def receive_columns(self, batch: ColumnBatch, port: int = 0) -> None:
-        self.elements_in += len(batch)
-        self.emit_columns(batch)
-
-    def derive_properties(
-        self, input_properties: List[StreamProperties]
-    ) -> StreamProperties:
-        if not input_properties:
-            return StreamProperties.unknown()
-        return input_properties[0]
-
-
-class HashPartition(Operator):
-    """Route a stream to N shard ports by payload key; broadcast stables.
-
-    Subscribe each shard's sub-graph to ``self.outputs[i]``.  A partition
-    preserves every per-stream property within a shard — a sub-sequence of
-    an ordered stream is ordered, same-Vs determinism and keys survive —
-    so each port reports the input properties unchanged.
-    """
-
-    kind = "partition"
-
-    def __init__(
-        self,
-        num_shards: int,
-        key_fn: Optional[KeyFunction] = None,
-        name: str = "partition",
-        registry=None,
-    ):
-        super().__init__(name)
-        if num_shards < 1:
-            raise ValueError("partition needs at least one shard")
-        self.num_shards = num_shards
-        self.key_fn: KeyFunction = key_fn or identity_key
-        #: Optional :class:`repro.obs.registry.MetricRegistry`: when set,
-        #: batched routing keeps ``partition_routed_total{shard=}`` and
-        #: ``partition_stables_broadcast_total`` counters current.
-        self.registry = registry
-        self.outputs: Tuple[ShardPort, ...] = tuple(
-            ShardPort(shard, name=f"{name}.out[{shard}]")
-            for shard in range(num_shards)
-        )
-        for port_op in self.outputs:
-            self.subscribe(port_op)
-
-    def shard_of(self, payload: Payload) -> int:
-        """The shard index the partitioner routes *payload* to."""
-        return hash(self.key_fn(payload)) % self.num_shards
-
-    # The base ``emit`` would fan every element to every port; routing is
-    # the whole point, so the handlers address ports directly.
-
-    def on_insert(self, element: Insert, port: int) -> None:
-        self.elements_out += 1
-        self.outputs[self.shard_of(element.payload)].receive(element)
-
-    def on_adjust(self, element: Adjust, port: int) -> None:
-        self.elements_out += 1
-        self.outputs[self.shard_of(element.payload)].receive(element)
-
-    def on_stable(self, vc: Timestamp, port: int) -> None:
-        element = Stable(vc)
-        self.elements_out += self.num_shards
-        for port_op in self.outputs:
-            port_op.receive(element)
-
-    def receive_batch(self, elements: Sequence[Element], port: int = 0) -> None:
-        self.elements_in += len(elements)
-        buckets = partition_batch(elements, self.num_shards, self.key_fn)
-        registry = self.registry
-        for shard, bucket in enumerate(buckets):
-            if bucket:
-                self.elements_out += len(bucket)
-                if registry is not None:
-                    registry.counter(
-                        "partition_routed_total", {"shard": shard}
-                    ).inc(len(bucket))
-                self.outputs[shard].receive_batch(bucket)
-        if registry is not None:
-            stables = sum(
-                1 for e in elements if e.__class__ is Stable
-            )
-            if stables:
-                registry.counter("partition_stables_broadcast_total").inc(
-                    stables
-                )
-
-    def receive_columns(self, batch: ColumnBatch, port: int = 0) -> None:
-        """Columnar routing: per-shard slices leave as ``ColumnBatch``
-        objects; no element is materialized on the way through."""
-        self.elements_in += len(batch)
-        buckets = partition_columns(batch, self.num_shards, self.key_fn)
-        registry = self.registry
-        for shard, bucket in enumerate(buckets):
-            if bucket:
-                self.elements_out += len(bucket)
-                if registry is not None:
-                    registry.counter(
-                        "partition_routed_total", {"shard": shard}
-                    ).inc(len(bucket))
-                self.outputs[shard].receive_columns(bucket)
-        if registry is not None:
-            stables = batch.counts()[2]
-            if stables:
-                registry.counter("partition_stables_broadcast_total").inc(
-                    stables
-                )
-
-    def input_room(self) -> Optional[int]:
-        # The partitioner holds nothing; its room is the tightest room
-        # across the shard ports' subscribers (a stable goes to all).
-        room: Optional[int] = None
-        for port_op in self.outputs:
-            r = port_op.output_room()
-            if r is not None and (room is None or r < room):
-                room = r
-        return room
-
-    def derive_properties(
-        self, input_properties: List[StreamProperties]
-    ) -> StreamProperties:
-        if not input_properties:
-            return StreamProperties.unknown()
-        return input_properties[0]
 
 
 class ShardUnion(Operator):

@@ -40,23 +40,14 @@ __all__ = ["run_chaos_cell", "run_fault_matrix", "VARIANTS", "FAULT_KINDS"]
 VARIANTS = {"r1": LMergeR1, "r3": LMergeR3, "r4": LMergeR4}
 
 #: FaultPlan.random keyword and site count per fault kind.  Stalls cost
-#: a heartbeat timeout each, so one per run keeps cells fast.
+#: a heartbeat timeout (``supervisor.HEARTBEAT_TIMEOUT``) each, so one
+#: per run keeps cells fast.
 FAULT_KINDS: Dict[str, Tuple[str, int]] = {
     "kill": ("kills", 2),
     "stall": ("stalls", 1),
     "drop": ("drops", 2),
     "duplicate": ("duplicates", 2),
     "delay": ("delays", 2),
-}
-
-#: Aggressive supervisor timings for test-sized workloads.
-FAST_SUPERVISOR = {
-    "heartbeat_interval": 0.02,
-    "heartbeat_timeout": 0.75,
-    "restart_backoff": 0.01,
-    "restart_backoff_cap": 0.1,
-    "checkpoint_every": 4,
-    "max_restarts": 8,
 }
 
 
@@ -107,7 +98,6 @@ def run_chaos_cell(
     count: int = 160,
     batch_size: int = 16,
     durable_dir: Optional[str] = None,
-    supervisor_options: Optional[dict] = None,
 ) -> dict:
     """Run one cell and return its JSON-ready verdict."""
     if variant_key not in VARIANTS:
@@ -129,8 +119,6 @@ def run_chaos_cell(
         seed, num_shards, horizon, **{"kills": 0, keyword: sites}
     )
 
-    options = dict(FAST_SUPERVISOR)
-    options.update(supervisor_options or {})
     with tempfile.TemporaryDirectory(
         prefix=f"chaos-{variant_key}-{fault_kind}-", dir=durable_dir
     ) as state_dir:
@@ -141,7 +129,6 @@ def run_chaos_cell(
             supervised=True,
             durable_dir=state_dir,
             fault_plan=plan,
-            supervisor_options=options,
         )
         supervised_out = supervised.merge_batched(
             inputs, batch_size=batch_size
@@ -183,7 +170,6 @@ def run_fault_matrix(
     count: int = 160,
     batch_size: int = 16,
     durable_dir: Optional[str] = None,
-    supervisor_options: Optional[dict] = None,
 ) -> dict:
     """Sweep ``variants x fault_kinds`` from one seed.
 
@@ -202,7 +188,6 @@ def run_fault_matrix(
                     count=count,
                     batch_size=batch_size,
                     durable_dir=durable_dir,
-                    supervisor_options=supervisor_options,
                 )
             )
     return {

@@ -25,8 +25,12 @@ failure) — in two halves:
   **recovers**: kill the remnants, rebuild the rings, respawn the worker
   (which restores the last durable snapshot), and replay the journal
   tail.  Restarts back off exponentially and are bounded by
-  ``max_restarts``, after which the failure surfaces as the classic
+  :data:`MAX_RESTARTS`, after which the failure surfaces as the classic
   :class:`~repro.engine.parallel.ShardError`.
+
+The timings below are module constants, not options: the chaos matrix
+(``repro chaos``) is TDB-equivalent at these values for every variant
+and fault kind.
 
 Replay is deterministic, so the exchange's **output dedup** makes
 recovery exact, not just equivalent: the driver slices off exactly the
@@ -62,6 +66,30 @@ from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.resilience.store import StateStore
 
 __all__ = ["SupervisedRuntime", "RecoveryRecord"]
+
+#: Batches a worker applies between checkpoints while its stable
+#: frontier stands still (a frontier advance checkpoints at once).
+CHECKPOINT_EVERY = 8
+#: Seconds an idle worker waits on its input ring before it beats.
+HEARTBEAT_INTERVAL = 0.05
+#: Seconds of worker silence after which the driver declares a stall.
+#: Forty intervals: a loaded host can starve a healthy worker for a
+#: while, and a false stall costs a restart plus a replay.
+HEARTBEAT_TIMEOUT = 2.0
+#: Recoveries one shard may need before its failure surfaces as a
+#: :class:`~repro.engine.parallel.ShardError`.
+MAX_RESTARTS = 5
+#: The first restart's delay; it doubles per attempt up to the cap.
+RESTART_BACKOFF = 0.05
+RESTART_BACKOFF_CAP = 2.0
+#: Seconds a (re)spawned worker has to restore its snapshot and announce
+#: itself.
+RESUME_TIMEOUT = 30.0
+#: Seconds ``close()`` waits for a flush ack or a DONE frame before it
+#: recovers the shard and retries.
+HANDSHAKE_TIMEOUT = 10.0
+#: Batches the always-on flight recorder keeps per worker.
+FLIGHT_CAPACITY = 64
 
 
 @dataclass
@@ -100,23 +128,20 @@ class _WorkerSupervision:
     fixed points of a frame's life and puts every ring frame itself.
     """
 
+    #: How long the ring worker blocks on an idle input ring.
+    heartbeat_interval = HEARTBEAT_INTERVAL
+
     def __init__(
         self,
         store_dir: str,
-        heartbeat_interval: float,
-        checkpoint_every: int,
         fault_plan: Optional[FaultPlan],
         fault_floor: int,
         fsync: bool,
-        flight_capacity: int,
     ):
         self.store_dir = store_dir
-        self.heartbeat_interval = heartbeat_interval
-        self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
         self.fault_floor = fault_floor
         self.fsync = fsync
-        self.flight_capacity = flight_capacity
 
     def open(self, shard: int, merge: Any) -> Tuple[int, int]:
         """Open the shard's store and restore *merge* from its last
@@ -130,7 +155,7 @@ class _WorkerSupervision:
         # Always-on flight recorder: crashes are exactly the runs where
         # opt-in diagnostics would have been off, and the per-batch cost
         # is one dict append.
-        self.flight = FlightRecorder(capacity=self.flight_capacity)
+        self.flight = FlightRecorder(capacity=FLIGHT_CAPACITY)
         applied_seq = emitted = 0
         loaded = load_snapshot(self.store)
         if loaded is not None:
@@ -175,7 +200,7 @@ class _WorkerSupervision:
 
     def checkpoint_due(self) -> bool:
         return (
-            self._batches_since_ckpt >= self.checkpoint_every
+            self._batches_since_ckpt >= CHECKPOINT_EVERY
             or self.merge.max_stable > self._last_ckpt_stable
         )
 
@@ -205,7 +230,6 @@ class SupervisedRuntime(ParallelRuntime):
 
         runtime = SupervisedRuntime(
             factory, num_shards=4, durable_dir="/var/lib/merge",
-            max_restarts=3, fault_plan=None,
         ).start()
 
     Durable state lives under ``durable_dir/shard-<i>/``; a later
@@ -223,50 +247,28 @@ class SupervisedRuntime(ParallelRuntime):
         num_shards: int,
         *,
         durable_dir: str,
-        checkpoint_every: int = 8,
-        heartbeat_interval: float = 0.05,
-        heartbeat_timeout: float = 2.0,
-        max_restarts: int = 5,
-        restart_backoff: float = 0.05,
-        restart_backoff_cap: float = 2.0,
-        resume_timeout: float = 30.0,
         fault_plan: Optional[FaultPlan] = None,
         fsync: bool = False,
-        queue_capacity: int = 64,
         coalesce_stables: bool = False,
         registry=None,
-        ring_capacity: int = 1 << 20,
         telemetry_interval: float = 0.0,
         tracer=None,
-        flight_capacity: int = 64,
     ):
         super().__init__(
             factory,
             num_shards,
             backend="process",
-            queue_capacity=queue_capacity,
             coalesce_stables=coalesce_stables,
             registry=registry,
             envelope="columnar",
-            ring_capacity=ring_capacity,
             telemetry_interval=telemetry_interval,
             tracer=tracer,
         )
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
         self.durable_dir = durable_dir
-        self.checkpoint_every = checkpoint_every
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_cap = restart_backoff_cap
-        self.resume_timeout = resume_timeout
         self.fault_plan = fault_plan
+        #: ``os.fsync`` on every store sync: off survives a worker crash,
+        #: on also survives power loss.
         self.fsync = fsync
-        self.flight_capacity = flight_capacity
         #: Completed recoveries, for introspection and chaos reports.
         self.recoveries: List[RecoveryRecord] = []
         n = num_shards
@@ -309,20 +311,17 @@ class SupervisedRuntime(ParallelRuntime):
     def _worker_supervision(self, shard: int) -> "_WorkerSupervision":
         return _WorkerSupervision(
             store_dir=self._store_dir(shard),
-            heartbeat_interval=self.heartbeat_interval,
-            checkpoint_every=self.checkpoint_every,
             fault_plan=self.fault_plan,
             # A respawned worker must not re-trigger the fault that
             # killed it while replaying: sites at or below the highest
             # delivered sequence are spent.
             fault_floor=self._next_seq[shard] - 1,
             fsync=self.fsync,
-            flight_capacity=self.flight_capacity,
         )
 
     def _await_resumed(self, shard: int) -> Optional[Tuple[int, int]]:
         """Wait for the worker's ``("resumed", applied, emitted)``."""
-        deadline = monotonic() + self.resume_timeout
+        deadline = monotonic() + RESUME_TIMEOUT
         ring = self._out_rings[shard]
         while monotonic() < deadline:
             try:
@@ -358,9 +357,9 @@ class SupervisedRuntime(ParallelRuntime):
                 f"worker process died (exitcode {getattr(process, 'exitcode', None)})"
             )
             return False
-        if monotonic() - self._last_beat[shard] > self.heartbeat_timeout:
+        if monotonic() - self._last_beat[shard] > HEARTBEAT_TIMEOUT:
             self._recovery_reason[shard] = (
-                f"heartbeat stalled for more than {self.heartbeat_timeout}s"
+                f"heartbeat stalled for more than {HEARTBEAT_TIMEOUT}s"
             )
             return False
         return True
@@ -386,16 +385,16 @@ class SupervisedRuntime(ParallelRuntime):
     def _recover(self, shard: int) -> None:
         """Kill the remnants, respawn from the last durable checkpoint,
         and replay the journal tail.  Raises :class:`ShardError` once
-        ``max_restarts`` is exhausted."""
+        :data:`MAX_RESTARTS` is exhausted."""
         started = perf_counter()
         reason = self._recovery_reason[shard] or "unhealthy"
         registry = self.registry
         while True:
-            if self._restarts[shard] >= self.max_restarts:
+            if self._restarts[shard] >= MAX_RESTARTS:
                 self._abort()
                 raise ShardError(
                     shard,
-                    f"exceeded max_restarts={self.max_restarts}; "
+                    f"exceeded MAX_RESTARTS={MAX_RESTARTS}; "
                     f"last failure: {reason}",
                 )
             self._restarts[shard] += 1
@@ -405,10 +404,7 @@ class SupervisedRuntime(ParallelRuntime):
                     "restarts_total", {"shard": shard}
                 ).inc()
             time.sleep(
-                min(
-                    self.restart_backoff_cap,
-                    self.restart_backoff * (2 ** (attempt - 1)),
-                )
+                min(RESTART_BACKOFF_CAP, RESTART_BACKOFF * 2 ** (attempt - 1))
             )
             # Salvage whatever the dying worker managed to publish (the
             # output dedup makes re-delivery after replay harmless).
@@ -567,7 +563,7 @@ class SupervisedRuntime(ParallelRuntime):
             if not self._put_control(shard, ("ckpt", ident)):
                 self._recover(shard)
                 continue
-            deadline = monotonic() + max(self.heartbeat_timeout, 10.0)
+            deadline = monotonic() + HANDSHAKE_TIMEOUT
             ack: Optional[Tuple] = None
             while monotonic() < deadline:
                 self._drain_shm_ring(shard, timeout=0.05)
@@ -599,7 +595,7 @@ class SupervisedRuntime(ParallelRuntime):
                 if not self._put_control(shard, None):
                     self._recover(shard)
                     continue
-                deadline = monotonic() + max(self.heartbeat_timeout, 10.0)
+                deadline = monotonic() + HANDSHAKE_TIMEOUT
                 while (
                     shard not in self._final_stats
                     and monotonic() < deadline

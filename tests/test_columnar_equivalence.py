@@ -26,6 +26,7 @@ from repro.engine.runtime import QueuedEdge, QueueFullError
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r4 import LMergeR4
 from repro.lmerge.shard import shard
+from repro.operators.exchange import partition_batch, partition_columns
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import INFINITY
 from repro.theory.equivalence import equivalent_prefixes
@@ -160,19 +161,16 @@ class TestEnvelopeEquivalence:
         assert sharded_out.tdb() == unsharded_out.tdb() == reference.tdb()
 
     def test_custom_key_fn_columnar(self):
-        """A non-identity key function exercises the per-row hash path in
-        partition_columns rather than the cached key_hashes column."""
+        """A non-identity key takes partition_columns' per-row hash path; it
+        must route every row where partition_batch routes its element."""
         reference = small_stream(count=120, seed=3, disorder=0.25)
-        inputs = divergent_inputs(reference, n=2)
-        plan = shard(
-            LMergeR3,
-            4,
-            backend="serial",
-            envelope="columnar",
-            key_fn=lambda payload: hash(payload) % 7,
-        )
-        output = plan.merge(inputs)
-        assert output.tdb() == reference.tdb()
+        elements = list(divergent_inputs(reference, n=1)[0])
+        batch = ColumnBatch.from_elements(elements)
+        for num_shards in (2, 4):
+            columnar = partition_columns(batch, num_shards, repr)
+            assert [list(b.to_elements()) for b in columnar] == (
+                partition_batch(elements, num_shards, repr)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -4,66 +4,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.columnar import ColumnBatch
 from repro.engine.operator import CollectorSink
+from repro.lmerge.r3 import LMergeR3
+from repro.lmerge.shard import shard
 from repro.operators.exchange import (
-    HashPartition,
     ShardUnion,
     identity_key,
     partition_batch,
+    partition_columns,
 )
 from repro.streams.properties import StreamProperties
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import MINUS_INFINITY
 
 
-def build_partition(num_shards, key_fn=None):
-    partition = HashPartition(num_shards, key_fn=key_fn)
-    sinks = [CollectorSink(name=f"s{i}") for i in range(num_shards)]
-    for port, sink in zip(partition.outputs, sinks):
-        port.subscribe(sink)
-    return partition, sinks
+def routes(elements, num_shards, key_fn=identity_key):
+    """Per-shard lists from partition_batch and from partition_columns."""
+    columns = partition_columns(ColumnBatch.from_elements(elements), num_shards, key_fn)
+    batched = partition_batch(elements, num_shards, key_fn)
+    return batched, [list(bucket.to_elements()) for bucket in columns]
 
 
 class TestHashPartition:
+    """Routing by payload hash: ``partition_batch`` and its columnar twin
+    ``partition_columns``."""
+
     def test_same_key_same_shard(self):
-        partition, sinks = build_partition(4)
-        for vs in range(20):
-            partition.receive(Insert("hot", vs + 1, vs + 10), 0)
-        populated = [sink for sink in sinks if len(sink.stream)]
-        assert len(populated) == 1
-        assert len(populated[0].stream) == 20
+        elements = [Insert("hot", vs + 1, vs + 10) for vs in range(20)]
+        for buckets in routes(elements, 4):
+            assert [bucket for bucket in buckets if bucket] == [elements]
 
     def test_adjust_follows_its_insert(self):
-        partition, sinks = build_partition(8)
-        partition.receive(Insert("k", 1, 5), 0)
-        partition.receive(Adjust("k", 1, 5, 9), 0)
-        populated = [sink for sink in sinks if len(sink.stream)]
-        assert len(populated) == 1
-        assert [type(e) for e in populated[0].stream] == [Insert, Adjust]
+        elements = [Insert("k", 1, 5), Adjust("k", 1, 5, 9)]
+        for buckets in routes(elements, 8):
+            assert [bucket for bucket in buckets if bucket] == [elements]
 
     def test_stable_broadcast_to_all_shards(self):
-        partition, sinks = build_partition(3)
-        partition.receive(Insert("a", 1), 0)
-        partition.receive(Stable(5), 0)
-        for sink in sinks:
-            assert any(
-                isinstance(e, Stable) and e.vc == 5 for e in sink.stream
-            )
+        stables = [Stable(5), Stable(9)]
+        elements = [Insert("a", 1), stables[0], Insert("b", 7), stables[1]]
+        for buckets in routes(elements, 3):
+            for bucket in buckets:  # every stable, in place among the shard's data
+                assert bucket == [e for e in elements if e in stables or e in bucket]
 
     def test_batch_matches_per_element(self):
         elements = [Insert((i % 7, i), i + 1, i + 50) for i in range(40)]
         elements.insert(10, Stable(8))
         elements.append(Stable(60))
 
-        single, single_sinks = build_partition(4)
+        one_by_one = [[] for _ in range(4)]
         for element in elements:
-            single.receive(element, 0)
+            for index, bucket in enumerate(partition_batch([element], 4)):
+                one_by_one[index].extend(bucket)
 
-        batched, batched_sinks = build_partition(4)
-        batched.receive_batch(elements, 0)
-
-        for a, b in zip(single_sinks, batched_sinks):
-            assert list(a.stream) == list(b.stream)
+        batched, columnar = routes(elements, 4)
+        assert batched == columnar == one_by_one
 
     def test_partition_batch_preserves_per_shard_order(self):
         elements = [Insert((i % 5, i), i + 1) for i in range(30)]
@@ -79,24 +74,13 @@ class TestHashPartition:
         assert partition_batch(elements, 1) == [elements]
 
     def test_custom_key_fn(self):
-        partition, sinks = build_partition(
-            2, key_fn=lambda payload: payload[0]
-        )
-        for i in range(10):
-            partition.receive(Insert((0, i), i + 1), 0)  # same key_fn value
-        populated = [sink for sink in sinks if len(sink.stream)]
-        assert len(populated) == 1
-
-    def test_properties_pass_through(self):
-        properties = StreamProperties.unknown().weaken(
-            insert_only=True, ordered=True
-        )
-        derived = HashPartition(4).derive_properties([properties])
-        assert derived == properties
+        elements = [Insert((0, i), i + 1) for i in range(10)]
+        for buckets in routes(elements, 2, key_fn=lambda payload: payload[0]):
+            assert [b for b in buckets if b] == [elements]  # one key, one shard
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
-            HashPartition(0)
+            shard(LMergeR3, 0, backend="serial")
 
 
 class TestShardUnion:

@@ -1,11 +1,13 @@
 """ParallelRuntime: backend equivalence, backpressure, error paths."""
 
 import pickle
+import threading
 
 import pytest
 
 from repro.engine.parallel import (
     BACKENDS,
+    QUEUE_CAPACITY,
     ParallelRuntime,
     ShardError,
     merge_factory,
@@ -149,18 +151,30 @@ class TestErrorPropagation:
 
 class TestBackpressure:
     def test_bounded_queue_caps_capacity(self):
-        runtime = ParallelRuntime(
-            merge_factory(LMergeR3),
-            num_shards=1,
-            backend="thread",
-            queue_capacity=2,
-        )
-        assert runtime.queue_capacity == 2
-        runtime.start()
-        runtime.broadcast_attach(0)
-        # Submissions beyond capacity block until the worker drains —
-        # this completing at all is the backpressure test.
-        for index in range(10):
-            runtime.submit(0, 0, [Insert((0, index), index + 1)])
-        stats = runtime.close()
-        assert stats[0].inserts_in == 10
+        """A held worker's queue fills to QUEUE_CAPACITY and the next submit
+        blocks until the worker drains it; every batch arrives."""
+        gate = threading.Event()
+
+        class Held(LMergeR3):  # its worker waits on the gate before each batch
+            def process_columns(self, *args, **kwargs):
+                gate.wait(30) and super().process_columns(*args, **kwargs)
+
+        total, depths = 3 * QUEUE_CAPACITY, []
+        # Opens the gate early only if a submit blocked below the bound.
+        failsafe = threading.Timer(10, gate.set)
+        with ParallelRuntime(merge_factory(Held), 1, backend="thread") as runtime:
+            runtime.broadcast_attach(0)
+            failsafe.start()
+            try:
+                for i in range(total):
+                    if i == QUEUE_CAPACITY + 1:  # one held, the rest queued
+                        assert runtime.queue_depths() == [QUEUE_CAPACITY]
+                        threading.Timer(0.2, gate.set).start()
+                    runtime.submit(0, 0, [Insert((0, i), i + 1)])
+                    assert gate.is_set() == (i > QUEUE_CAPACITY)  # blocked till then
+                    depths.extend(runtime.queue_depths())
+            finally:
+                failsafe.cancel()
+                gate.set()
+        assert max(depths) <= QUEUE_CAPACITY
+        assert runtime.stats[0].inserts_in == total

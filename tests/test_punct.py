@@ -21,7 +21,7 @@ from repro.analysis.punct import (
 from repro.engine.operator import Operator
 from repro.operators.aggregate import GroupedCount, WindowedCount
 from repro.operators.cleanse import Cleanse
-from repro.operators.exchange import HashPartition, ShardUnion
+from repro.operators.exchange import ShardUnion
 from repro.operators.join import TemporalJoin
 from repro.operators.select import Filter
 from repro.operators.union import Union
@@ -138,7 +138,6 @@ class TestRealOperators:
             TemporalJoin,
             WindowedCount,
             GroupedCount,
-            HashPartition,
             ShardUnion,
         ],
     )

@@ -6,18 +6,24 @@ Two claims, both from the partitioning argument in ``repro.lmerge.shard``:
    the per-shard frontiers (ShardUnion alignment at the plan level).
 2. For every variant R0-R4, the sharded output reconstitutes to the same
    TDB as the unsharded variant and the reference stream, for random
-   shard counts, disorder levels, and partitioning key functions.
+   shard counts and disorder levels.
 """
 
+import inspect
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.parallel import ParallelRuntime
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r4 import LMergeR4
 from repro.lmerge.shard import ShardedLMerge, shard
+from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import SupervisedRuntime
 from repro.temporal.elements import Stable
 from repro.temporal.tdb import reconstitute
 from repro.theory.equivalence import equivalent_prefixes
@@ -27,8 +33,8 @@ from conftest import data_by_key, divergent_inputs, small_stream
 ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
 
 
-def run_sharded(variant, inputs, num_shards, **kwargs):
-    plan = shard(variant, num_shards, backend="serial", **kwargs)
+def run_sharded(variant, inputs, num_shards):
+    plan = shard(variant, num_shards, backend="serial")
     output = plan.merge(inputs, schedule="round_robin")
     return plan, output
 
@@ -85,22 +91,6 @@ class TestShardedTdbEquivalence:
 
             assert data_by_key(sharded_out) == data_by_key(unsharded_out)
 
-    @settings(max_examples=8, deadline=None)
-    @given(
-        num_shards=st.integers(min_value=2, max_value=5),
-        modulus=st.integers(min_value=1, max_value=9),
-    )
-    def test_custom_key_fn_preserves_tdb(self, num_shards, modulus):
-        reference = small_stream(count=120, seed=3, disorder=0.25)
-        inputs = divergent_inputs(reference, n=2)
-        plan, output = run_sharded(
-            LMergeR4,
-            inputs,
-            num_shards,
-            key_fn=lambda payload: hash(payload) % modulus,
-        )
-        assert output.tdb() == reference.tdb()
-
 
 class TestPlanLevelCtiAlignment:
     @settings(max_examples=15, deadline=None)
@@ -146,3 +136,38 @@ class TestPlanLevelCtiAlignment:
         for position in cti_positions[:: max(1, len(cti_positions) // 5)]:
             prefix_tdb = reconstitute(elements[: position + 1])
             assert prefix_tdb is not None
+
+
+class TestPlanSurface:
+    """Everything that configures a sharded plan (the rest is constants)."""
+
+    def test_signatures_are_the_kept_options(self):
+        names = lambda obj: " ".join(inspect.signature(obj).parameters)
+        assert names(shard) == "variant num_shards options"
+        assert names(ShardedLMerge) == (
+            "merge_cls num_shards backend coalesce_stables registry envelope "
+            "supervised durable_dir fault_plan fsync telemetry_interval tracer "
+            "merge_kwargs"
+        )
+        assert names(ParallelRuntime) == (
+            "factory num_shards backend coalesce_stables registry envelope "
+            "telemetry_interval tracer"
+        )
+        assert names(SupervisedRuntime) == (
+            "factory num_shards durable_dir fault_plan fsync coalesce_stables "
+            "registry telemetry_interval tracer"
+        )
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            ({"key_fn": hash}, TypeError),
+            ({"supervisor_options": {}}, TypeError),
+            ({"queue_capacity": 8}, TypeError),
+            ({"durable_dir": "state"}, ValueError),  # needs supervised=True
+            ({"fault_plan": FaultPlan()}, ValueError),
+        ],
+    )
+    def test_retired_and_unsupervised_options_are_rejected(self, options, error):
+        with pytest.raises(error):
+            shard(LMergeR3, 2, backend="serial", **options)

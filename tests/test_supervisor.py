@@ -1,8 +1,8 @@
 """SupervisedRuntime: crash detection, restart-from-checkpoint, replay,
 bounded restarts, and the ring/close satellites.
 
-Process-spawning tests keep workloads small and supervisor timings
-aggressive; every run still checks the real oracle (TDB equivalence
+Process-spawning tests keep workloads small and run the supervisor's
+fixed timings; every run still checks the real oracle (TDB equivalence
 against a clean serial run).
 """
 
@@ -19,24 +19,17 @@ from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.shard import shard
 from repro.obs.registry import MetricRegistry
 from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import MAX_RESTARTS, SupervisedRuntime
 from repro.temporal.elements import Stable
 
 from conftest import divergent_inputs, small_stream
-
-FAST = {
-    "heartbeat_interval": 0.02,
-    "heartbeat_timeout": 0.75,
-    "restart_backoff": 0.01,
-    "restart_backoff_cap": 0.1,
-    "checkpoint_every": 4,
-}
 
 
 def data_multiset(stream):
     return Counter(e for e in stream if not isinstance(e, Stable))
 
 
-def run_pair(fault_plan, tmp_path, count=160, options=None, registry=None):
+def run_pair(fault_plan, tmp_path, count=160, registry=None):
     """A clean serial run and a supervised faulty run over one workload."""
     reference = small_stream(count=count, seed=3, disorder=0.2, stable_freq=0.08)
     inputs = divergent_inputs(reference, n=2)
@@ -50,7 +43,6 @@ def run_pair(fault_plan, tmp_path, count=160, options=None, registry=None):
         durable_dir=str(tmp_path),
         fault_plan=fault_plan,
         registry=registry,
-        supervisor_options={**FAST, **(options or {})},
     )
     supervised_out = plan.merge_batched(inputs, batch_size=16)
     return reference, baseline_out, supervised_out, plan.runtime
@@ -138,16 +130,9 @@ class TestStallDetection:
 class TestBoundedRestarts:
     def test_deterministic_failure_surfaces_shard_error(self, tmp_path):
         """A batch for an unattached stream fails identically on every
-        replay; after max_restarts the supervisor gives up."""
-        from repro.engine.parallel import merge_factory
-        from repro.resilience.supervisor import SupervisedRuntime
-
+        replay; after MAX_RESTARTS the supervisor gives up."""
         runtime = SupervisedRuntime(
-            merge_factory(LMergeR3),
-            1,
-            durable_dir=str(tmp_path),
-            max_restarts=2,
-            **FAST,
+            merge_factory(LMergeR3), 1, durable_dir=str(tmp_path)
         ).start()
         stream = small_stream(count=30, seed=1, disorder=0.0)
         runtime.submit(0, 99, list(stream)[:8])  # stream 99 never attached
@@ -157,8 +142,8 @@ class TestBoundedRestarts:
                 runtime.poll()
                 time.sleep(0.02)
             runtime.close()
-        assert "max_restarts" in str(excinfo.value)
-        assert runtime.restarts == [2]
+        assert "MAX_RESTARTS" in str(excinfo.value)
+        assert runtime.restarts == [MAX_RESTARTS]
 
 
 class TestSequenceGate:
@@ -263,18 +248,13 @@ class TestDriverRestartResume:
         """Driver-restart seam: a new SupervisedRuntime over the same
         durable_dir picks each shard up from its snapshot instead of an
         empty merge."""
-        from repro.engine.parallel import merge_factory
-        from repro.resilience.supervisor import SupervisedRuntime
-
         reference = small_stream(count=120, seed=6, disorder=0.2)
         inputs = divergent_inputs(reference, n=2)
         baseline = shard(LMergeR3, 1, backend="serial")
         baseline_out = baseline.merge_batched(inputs, batch_size=16)
 
         factory = merge_factory(LMergeR3)
-        first = SupervisedRuntime(
-            factory, 1, durable_dir=str(tmp_path), **FAST
-        ).start()
+        first = SupervisedRuntime(factory, 1, durable_dir=str(tmp_path)).start()
         first.broadcast_attach(0)
         first.broadcast_attach(1)
         chunks = []
@@ -289,9 +269,7 @@ class TestDriverRestartResume:
         first.close()
         collected.extend(b for _, b in first.poll())
 
-        second = SupervisedRuntime(
-            factory, 1, durable_dir=str(tmp_path), **FAST
-        ).start()
+        second = SupervisedRuntime(factory, 1, durable_dir=str(tmp_path)).start()
         for chunk, stream_id in feeds[cut:]:
             second.submit(0, stream_id, chunk)
             collected.extend(b for _, b in second.poll())

@@ -12,6 +12,7 @@ from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.shard import shard
 from repro.obs.registry import MetricRegistry
 from repro.obs.telemetry import (
+    _MAX_PENDING,
     FlightRecorder,
     TelemetryAggregator,
     TelemetryEmitter,
@@ -192,10 +193,11 @@ class TestTelemetryAggregator:
         assert hist.count == 1
 
     def test_pending_bounded(self):
-        agg = TelemetryAggregator(MetricRegistry(), max_pending=4)
-        for seq in range(10):
+        agg = TelemetryAggregator(MetricRegistry())
+        for seq in range(_MAX_PENDING + 10):
             agg.note_submit(make_trace_id(0, seq))
-        assert len(agg._pending) == 4
+        assert len(agg._pending) == _MAX_PENDING
+        assert next(iter(agg._pending)) == make_trace_id(0, 10)  # oldest evicted
 
 
 class TestFlightRecorder:
@@ -252,7 +254,6 @@ class TestLiveTelemetry:
             registry=registry,
             telemetry_interval=telemetry_interval,
             tracer=tracer,
-            queue_capacity=8,
         )
         output = plan.merge(inputs, schedule="round_robin")
         return plan, output, reference
