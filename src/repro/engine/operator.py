@@ -169,8 +169,8 @@ class Operator:
         Default: materialize through the batch's boundary converter and
         fall back to :meth:`receive_batch`, so every operator accepts
         columnar batches.  Operators on the columnar hot path override
-        to walk the columns without building element objects (exchange
-        ports, queued edges, the sharded LMerge plan).
+        to walk the columns without building element objects (the
+        exchange's ``ShardUnion``).
         """
         self.receive_batch(batch.to_elements(), port)
 

@@ -19,9 +19,8 @@ Operators are unmodified: the runtime wraps their subscriptions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.columnar import ColumnBatch
 from repro.engine.operator import Operator
 from repro.obs.trace import NULL_TRACER
 from repro.temporal.elements import Element
@@ -58,10 +57,7 @@ class QueuedEdge(Operator):
         self.consumer = consumer
         self.port = port
         self.capacity = capacity
-        #: Mixed FIFO of elements and ColumnBatch slices; ``_depth``
-        #: counts *rows* (a batch occupies its row count, not one slot),
-        #: so capacity semantics are identical across envelopes.
-        self._queue: Deque[Union[Element, ColumnBatch]] = deque()
+        self._queue: Deque[Element] = deque()
         self._depth = 0
         self.peak_depth = 0
         self.enqueued = 0
@@ -119,87 +115,26 @@ class QueuedEdge(Operator):
         if self._depth > self.peak_depth:
             self.peak_depth = self._depth
 
-    def receive_columns(self, batch: ColumnBatch, port: int = 0) -> None:
-        """Enqueue a columnar batch without materializing elements.
-
-        Capacity counts rows, and admission mirrors :meth:`receive_batch`
-        exactly: on overflow the fitting *prefix* is admitted as a
-        zero-copy slice and :class:`QueueFullError` carries
-        ``accepted``/``rejected`` row counts, so a producer resumes from
-        ``batch.slice(accepted, len(batch))``.
-        """
-        count = len(batch)
-        if not count:
-            return
-        if self.capacity is not None:
-            room = self.capacity - self._depth
-            if count > room:
-                admitted = room if room > 0 else 0
-                if admitted:
-                    self._queue.append(batch.slice(0, admitted))
-                    self._depth += admitted
-                    self.enqueued += admitted
-                    if self._depth > self.peak_depth:
-                        self.peak_depth = self._depth
-                self.elements_in += admitted + 1
-                raise QueueFullError(
-                    f"{self.name}: capacity {self.capacity} exceeded "
-                    f"({admitted} of {count} admitted)",
-                    accepted=admitted,
-                    rejected=count - admitted,
-                )
-        self.elements_in += count
-        self._queue.append(batch)
-        self._depth += count
-        self.enqueued += count
-        if self._depth > self.peak_depth:
-            self.peak_depth = self._depth
-
     # -- scheduler side ------------------------------------------------------
 
     def drain(self, budget: int) -> int:
-        """Deliver up to *budget* queued rows; returns how many.
+        """Deliver up to *budget* queued elements; returns how many.
 
         Elements leave in one slice through the consumer's
         ``receive_batch`` (whose default is a per-element loop, so the
         observable order is unchanged; consumers with a batched fast path
-        get the whole slice at once).  Queued ``ColumnBatch`` runs leave
-        through ``receive_columns`` — sliced to the budget, the
-        remainder staying queued — so columnar batches stay columnar
-        through the edge.
+        get the whole slice at once).
         """
         queue = self._queue
-        delivered = 0
-        while queue and delivered < budget:
-            head = queue[0]
-            if isinstance(head, ColumnBatch):
-                take = min(budget - delivered, head.n)
-                if take == head.n:
-                    queue.popleft()
-                    self.consumer.receive_columns(head, self.port)
-                else:
-                    queue[0] = head.slice(take, head.n)
-                    self.consumer.receive_columns(
-                        head.slice(0, take), self.port
-                    )
-                delivered += take
-                continue
-            # Collect the run of consecutive plain elements.
-            count = 0
-            limit = budget - delivered
-            for item in queue:
-                if count >= limit or isinstance(item, ColumnBatch):
-                    break
-                count += 1
-            if count == 1:
-                self.consumer.receive(queue.popleft(), self.port)
-            else:
-                batch = [queue.popleft() for _ in range(count)]
-                self.consumer.receive_batch(batch, self.port)
-            delivered += count
-        self._depth -= delivered
-        self.drained += delivered
-        return delivered
+        count = max(0, min(budget, self._depth))
+        if count == 1:
+            self.consumer.receive(queue.popleft(), self.port)
+        elif count > 1:
+            batch = [queue.popleft() for _ in range(count)]
+            self.consumer.receive_batch(batch, self.port)
+        self._depth -= count
+        self.drained += count
+        return count
 
     @property
     def depth(self) -> int:

@@ -7,18 +7,9 @@ figure experiments additionally need throughput *timelines* over simulated
 time and application-time **latency**.
 """
 
-from repro.metrics.collector import (
-    AppTimeLatencyProbe,
-    MemoryProbe,
-    ThroughputTimeline,
-    merge_stats,
-    wall_clock_throughput,
-)
+from repro.metrics.collector import AppTimeLatencyProbe, ThroughputTimeline
 
 __all__ = [
     "ThroughputTimeline",
-    "MemoryProbe",
     "AppTimeLatencyProbe",
-    "merge_stats",
-    "wall_clock_throughput",
 ]

@@ -1,4 +1,4 @@
-"""Metric probes: throughput timelines, memory sampling, latency.
+"""Metric probes: throughput timelines and application-time latency.
 
 These are the figure benches' ad-hoc probes.  New instrumentation should
 go through :mod:`repro.obs` instead — the registry's
@@ -10,14 +10,10 @@ successors of :class:`ThroughputTimeline` and the latency lists here.
 from __future__ import annotations
 
 import math
-import time
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.temporal.elements import Element, Insert
 from repro.temporal.time import MINUS_INFINITY, Timestamp
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lmerge.base import MergeStats
 
 
 class ThroughputTimeline:
@@ -71,38 +67,6 @@ class ThroughputTimeline:
         return variance**0.5 / mean
 
 
-class MemoryProbe:
-    """Samples a ``memory_bytes()`` callable every *interval* elements."""
-
-    def __init__(self, subject: Callable[[], int], interval: int = 100):
-        if interval < 1:
-            raise ValueError("interval must be positive")
-        self._subject = subject
-        self.interval = interval
-        self._since_sample = 0
-        self.samples: List[int] = []
-
-    def tick(self) -> None:
-        """Note one element processed; sample when the interval elapses."""
-        self._since_sample += 1
-        if self._since_sample >= self.interval:
-            self._since_sample = 0
-            self.sample()
-
-    def sample(self) -> int:
-        value = self._subject()
-        self.samples.append(value)
-        return value
-
-    @property
-    def peak(self) -> int:
-        return max(self.samples) if self.samples else 0
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-
 class AppTimeLatencyProbe:
     """Application-time latency of output inserts.
 
@@ -144,29 +108,3 @@ class AppTimeLatencyProbe:
         ordered = sorted(self.latencies)
         rank = math.ceil(q * len(ordered))
         return ordered[min(len(ordered) - 1, max(0, rank - 1))]
-
-
-def merge_stats(parts: Iterable["MergeStats"]) -> "MergeStats":
-    """Fold per-shard (or per-replica) MergeStats into one report.
-
-    The counterpart of :meth:`MergeStats.merge` for a collection — used by
-    sharded plans and report scripts to aggregate statistics without
-    mutating the inputs.
-    """
-    from repro.lmerge.base import MergeStats
-
-    total = MergeStats()
-    for part in parts:
-        total.merge(part)
-    return total
-
-
-def wall_clock_throughput(run: Callable[[], int]) -> Tuple[float, int]:
-    """Execute *run* (returning an element count) and report
-    ``(elements_per_second, elements)`` by wall clock."""
-    start = time.perf_counter()
-    count = run()
-    elapsed = time.perf_counter() - start
-    if elapsed <= 0:
-        return float("inf"), count
-    return count / elapsed, count

@@ -1,21 +1,24 @@
-"""Shared fixtures and oracle helpers for the test suite."""
+"""Shared stream helpers and the hypothesis profile for the test suite.
+
+Merge-equivalence scenarios live in ``oracle.py``.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-import pytest
+from hypothesis import settings
 
-from repro.lmerge.base import LMergeBase, interleave
 from repro.streams.divergence import diverge
 from repro.streams.generator import GeneratorConfig, StreamGenerator
 from repro.streams.stream import PhysicalStream
 from repro.temporal.elements import Stable
-from repro.temporal.tdb import TDB
-from repro.theory.compatibility import (
-    check_r3_compatibility,
-    check_r4_conformance,
-)
+
+# Tier-1 fails only when the code is wrong, never because a busy host ran
+# one example slowly: no property test has a deadline.  ``max_examples``
+# stays with each test.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 def small_stream(
@@ -66,69 +69,3 @@ def data_by_key(elements) -> dict:
         if not isinstance(element, Stable):
             ordered.setdefault((element.vs, element.payload), []).append(element)
     return ordered
-
-
-def merge_with_oracle(
-    merge: LMergeBase,
-    inputs: Sequence[PhysicalStream],
-    schedule: str = "round_robin",
-    seed: int = 0,
-    check_r3: bool = True,
-    check_r4: bool = False,
-    check_every: int = 1,
-) -> LMergeBase:
-    """Drive *merge* while asserting the Section III-D oracle throughout.
-
-    After each element the output prefix is reconstituted strictly (so any
-    output-stream contract violation raises) and, every *check_every*
-    steps, checked against the R3 compatibility conditions C1-C3 and/or
-    the R4 conformance rule.
-    """
-    streams = list(inputs)
-    for stream_id in range(len(streams)):
-        if not merge.is_attached(stream_id):
-            merge.attach(stream_id)
-    input_tdbs = [TDB() for _ in streams]
-    output_tdb = TDB()  # strict: raises on any output contract violation
-    cursor = 0
-    step = 0
-    for element, stream_id in interleave(streams, schedule, seed):
-        merge.process(element, stream_id)
-        input_tdbs[stream_id].apply(element)
-        while cursor < len(merge.output):
-            output_tdb.apply(merge.output[cursor])
-            cursor += 1
-        step += 1
-        if step % check_every:
-            continue
-        if check_r3:
-            violations = check_r3_compatibility(input_tdbs, output_tdb)
-            assert not violations, "; ".join(str(v) for v in violations)
-        if check_r4 and isinstance(element, Stable):
-            violations = check_r4_conformance(input_tdbs, output_tdb)
-            assert not violations, "; ".join(str(v) for v in violations)
-    return merge
-
-
-def assert_merge_equivalent(
-    merge: LMergeBase,
-    inputs: Sequence[PhysicalStream],
-    reference_tdb: Optional[TDB] = None,
-    schedule: str = "round_robin",
-    seed: int = 0,
-) -> LMergeBase:
-    """Merge *inputs* and assert logical equivalence with the reference."""
-    output = merge.merge(inputs, schedule=schedule, seed=seed)
-    expected = reference_tdb if reference_tdb is not None else inputs[0].tdb()
-    assert output.tdb() == expected
-    return merge
-
-
-@pytest.fixture
-def reference_stream() -> PhysicalStream:
-    return small_stream()
-
-
-@pytest.fixture
-def keyed_inputs(reference_stream) -> List[PhysicalStream]:
-    return divergent_inputs(reference_stream)

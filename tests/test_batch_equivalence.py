@@ -2,10 +2,11 @@
 
 The batched execution mode (slotted-dispatch runs, per-variant fast
 paths, single-descent index lookups) is pure mechanism — it must not
-change a single output element or statistic.  Hypothesis drives random
-workloads through random chunkings, schedules, and input counts for every
-LMerge variant, comparing against the per-element path element for
-element, MergeStats included.
+change a single output element or statistic.  Hypothesis draws oracle
+scenarios (``oracle.py``: divergent replicas, a roster script, a
+batch-size schedule) for every LMerge variant and compares each ingest
+path against the per-element one element for element, MergeStats
+included.
 
 Stable coalescing (``coalesce_stables=True``) intentionally relaxes this
 to *logical* (TDB) equivalence — intermediate punctuation is absorbed —
@@ -14,14 +15,12 @@ so its tests assert TDB equality and a never-larger stable count instead.
 
 import random
 from collections.abc import Sequence
-from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.checked import MergeCheck, PropertyViolationError
-from repro.engine.columnar import ColumnBatch
 from repro.engine.operator import CollectorSink
 from repro.engine.runtime import QueuedEdge, Runtime
 from repro.lmerge.base import interleave, interleave_batches
@@ -30,257 +29,98 @@ from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.r3_naive import LMergeR3Naive
-from repro.lmerge.r4 import LMergeR4
-from repro.streams.divergence import diverge
-from repro.streams.generator import GeneratorConfig, StreamGenerator
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import INFINITY
 
 from conftest import small_stream
+from oracle import (
+    FEEDS,
+    SHAPES,
+    VARIANTS,
+    Shape,
+    apply,
+    check,
+    scenario,
+    script,
+)
 
 ORDERED_VARIANTS = {
     "LMR0": LMergeR0,
     "LMR1": LMergeR1,
     "LMR2": LMergeR2,
 }
-GENERAL_VARIANTS = {
-    "LMR3+": LMergeR3,
-    "LMR3-": LMergeR3Naive,
-    "LMR4": LMergeR4,
-}
-ALL_VARIANTS = {**ORDERED_VARIANTS, **GENERAL_VARIANTS}
 
 SCHEDULES = ["round_robin", "sequential", "random"]
-
-
-def _ordered_streams(seed, n):
-    config = GeneratorConfig(
-        count=150,
-        seed=seed,
-        disorder=0.0,
-        min_gap=1,
-        stable_freq=0.06,
-        payload_blob_bytes=2,
-        event_duration=60,
-    )
-    return [StreamGenerator(config).generate()] * n
-
-
-def _general_streams(seed, n):
-    reference = StreamGenerator(
-        GeneratorConfig(
-            count=150,
-            seed=seed,
-            disorder=0.25,
-            stable_freq=0.08,
-            payload_blob_bytes=2,
-            event_duration=60,
-        )
-    ).generate()
-    return [
-        diverge(reference, seed=seed + i, speculate_fraction=0.3)
-        for i in range(n)
-    ]
-
-
-def _streams_for(name, seed, n):
-    if name in ORDERED_VARIANTS:
-        return _ordered_streams(seed, n)
-    return _general_streams(seed, n)
-
-
-def _run_per_element(variant_cls, chunks, n_inputs):
-    merge = variant_cls()
-    for index in range(n_inputs):
-        merge.attach(index)
-    for chunk, stream_id in chunks:
-        for element in chunk:
-            merge.process(element, stream_id)
-    return merge
-
-
-def _run_batched(variant_cls, chunks, n_inputs, coalesce=False):
-    merge = variant_cls()
-    for index in range(n_inputs):
-        merge.attach(index)
-    for chunk, stream_id in chunks:
-        merge.process_batch(chunk, stream_id, coalesce_stables=coalesce)
-    return merge
-
-
-def _feeds(coalesce=False):
-    """The ingest paths by mode.  ``"columns"`` hands over what a worker
-    gets off the ring: a wire-decoded batch, which holds no element
-    objects and whose timestamps went through the ``'q'``/``'d'`` column
-    typecodes (``5.0`` may come back for ``5``, ``inf`` natively)."""
-    return {
-        "element": lambda m, chunk, sid: [m.process(e, sid) for e in chunk],
-        "batch": lambda m, chunk, sid: m.process_batch(
-            chunk, sid, coalesce_stables=coalesce
-        ),
-        "columns": lambda m, chunk, sid: m.process_columns(
-            ColumnBatch.decode(ColumnBatch.from_elements(chunk).encode()),
-            sid,
-            coalesce_stables=coalesce,
-        ),
-    }
+EXACT = ("process", "batch", "columns")
 
 
 class TestExactEquivalence:
     """process_batch == process, element for element, stats included."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=6)
     @given(
-        name=st.sampled_from(sorted(ALL_VARIANTS)),
+        name=st.sampled_from(sorted(VARIANTS)),
         seed=st.integers(0, 10**6),
-        n_inputs=st.integers(1, 4),
-        schedule=st.sampled_from(SCHEDULES),
+        roster=st.booleans(),
         batch_size=st.integers(1, 97),
     )
-    def test_identical_output_and_stats(
-        self, name, seed, n_inputs, schedule, batch_size
-    ):
-        streams = _streams_for(name, seed % 19, n_inputs)
-        chunks = list(
-            interleave_batches(streams, schedule, seed, batch_size)
-        )
-        per = _run_per_element(ALL_VARIANTS[name], chunks, n_inputs)
-        bat = _run_batched(ALL_VARIANTS[name], chunks, n_inputs)
-        assert list(per.output) == list(bat.output)
-        assert per.stats == bat.stats
+    def test_identical_output_and_stats(self, name, seed, roster, batch_size):
+        check(name, "divergent", seed, roster=roster, batches=(batch_size,),
+              paths=("process", "batch"), policies=("none",))
 
-    @pytest.mark.parametrize("name", sorted(ALL_VARIANTS))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_merge_batched_driver(self, name, schedule):
         """The offline drivers agree under every schedule."""
-        streams = _streams_for(name, 5, 3)
-        per = ALL_VARIANTS[name]()
+        streams = scenario(name, seed=5).replicas
+        per, bat, again = (VARIANTS[name]() for _ in range(3))
         out_per = per.merge(streams, schedule="sequential")
-        bat = ALL_VARIANTS[name]()
         out_bat = bat.merge_batched(streams, schedule="sequential")
-        assert list(out_per) == list(out_bat)
-        assert per.stats == bat.stats
+        assert (list(out_per), per.stats) == (list(out_bat), bat.stats)
         # Other schedules chunk more coarsely — still a valid
         # interleaving, so the outputs stay logically equivalent.
-        again = ALL_VARIANTS[name]()
         out_again = again.merge_batched(streams, schedule=schedule)
         assert out_again.tdb() == out_per.tdb()
 
     @pytest.mark.parametrize("coalesce", [False, True])
-    @pytest.mark.parametrize("name", sorted(ALL_VARIANTS))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_wire_decoded_columns_match_batch(self, name, coalesce):
         """process_columns is a boundary decode plus process_batch: same
         output, same stats, for every variant — over an empty batch and
-        one with every kind the variant takes, ``inf`` included."""
-        n_inputs = 3
-        streams = _streams_for(name, 11, n_inputs)
-        chunks = list(interleave_batches(streams, "round_robin", 0, 24))
-        chunks.insert(1, ([], 0))
-        end = max(e.vs for e in streams[0] if e.__class__ is Insert) + 1
-        tail = [Insert(("tail",), end, INFINITY), Stable(end), Stable(INFINITY)]
-        if name in GENERAL_VARIANTS:
-            tail.insert(1, Adjust(("tail",), end, INFINITY, end + 5))
-        chunks.extend((tail, sid) for sid in range(n_inputs))
-        feeds = _feeds(coalesce)
-        merges = {}
-        for mode in ("batch", "columns"):
-            merges[mode] = merge = ALL_VARIANTS[name]()
-            for sid in range(n_inputs):
-                merge.attach(sid)
-            for chunk, sid in chunks:
-                feeds[mode](merge, chunk, sid)
-        assert list(merges["columns"].output) == list(merges["batch"].output)
-        assert merges["columns"].stats == merges["batch"].stats
-        assert merges["batch"].stats.elements_in == sum(
-            len(chunk) for chunk, _ in chunks
+        a tail with every kind the variant takes, ``inf`` included."""
+        replicas = [  # the tail, not the replicas, ends at Stable(inf)
+            [e for e in replica if e != Stable(INFINITY)]
+            for replica in scenario(name, seed=11, replicas=3).replicas
+        ]
+        steps = script(replicas, 11, roster=False)
+        steps.insert(4, ("feed", 0, []))
+        end = 1 + max(
+            e.vc if e.__class__ is Stable else e.vs for r in replicas for e in r
         )
-        assert merges["batch"].max_stable == INFINITY
+        tail = [Insert(("tail",), end, INFINITY), Stable(end), Stable(INFINITY)]
+        if name not in ORDERED_VARIANTS:
+            tail.insert(1, Adjust(("tail",), end, INFINITY, end + 5))
+        steps += [("feed", sid, tail) for sid in range(3)]
+        batch = lambda merge, chunk, sid: merge.process_batch(
+            chunk, sid, coalesce_stables=coalesce
+        )
+        merges = []
+        for feed in (batch, FEEDS["coalesce" if coalesce else "columns"]):
+            merges.append(VARIANTS[name]())
+            for step in steps:
+                apply(merges[-1], step, feed, None)
+        assert list(merges[1].output) == list(merges[0].output)
+        assert merges[1].stats == merges[0].stats
+        assert merges[0].stats.elements_in == sum(
+            len(step[2]) for step in steps if step[0] in ("feed", "stable")
+        )
+        assert merges[0].max_stable == INFINITY
 
     def test_counting_merge_uses_generic_path(self):
         """Variants without a fast path fall back to the per-element
         loop inside process_batch."""
-        streams = _ordered_streams(3, 2)
-        chunks = list(interleave_batches(streams, "round_robin", 0, 16))
-        per = _run_per_element(CountingMerge, chunks, 2)
-        bat = _run_batched(CountingMerge, chunks, 2)
-        assert list(per.output) == list(bat.output)
-        assert per.stats == bat.stats
-
-
-def _tie_heavy_replicas(name, seed, n):
-    """Legal replicas for variant *name* with many same-Vs groups (R0:
-    none — strictly increasing Vs is its restriction).  R2's replicas
-    order each same-Vs group differently."""
-    base = list(
-        StreamGenerator(
-            GeneratorConfig(
-                count=120,
-                seed=seed,
-                disorder=0.0,
-                min_gap=1 if name == "LMR0" else 0,
-                max_gap=1,
-                stable_freq=0.05,
-                payload_blob_bytes=2,
-                event_duration=40,
-            )
-        ).generate()
-    )
-    if name != "LMR2":
-        return [base] * n
-    replicas = []
-    for index in range(n):
-        rng = random.Random(seed * 7 + index)
-        replica = []
-        # Consecutive inserts sharing a Vs (a stable has none) may swap.
-        for _, group in groupby(base, key=lambda e: getattr(e, "vs", None)):
-            group = list(group)
-            rng.shuffle(group)
-            replica.extend(group)
-        replicas.append(replica)
-    return replicas
-
-
-def _kernel_script(replicas, batch_size, lag, attach_at, detach_at, snapshot_at):
-    """Deliveries of three replicas — the third trailing by *lag* batches —
-    plus a late-attached fourth that replays from the start, the leader's
-    detach, and a snapshot/restore, at the given fractions of the way."""
-    chunks = [
-        [r[i : i + batch_size] for i in range(0, len(r), batch_size)]
-        for r in replicas
-    ]
-    ops = []
-    for k in range(len(chunks[0]) + lag):
-        for sid in (0, 1):
-            if k < len(chunks[sid]):
-                ops.append(("batch", chunks[sid][k], sid))
-        if 0 <= k - lag < len(chunks[2]):
-            ops.append(("batch", chunks[2][k - lag], 2))
-    total = len(ops)
-    late = iter(chunks[3])
-    script = []
-    for index, op in enumerate(ops):
-        if index == int(attach_at * total):
-            script.append(("attach", 3))
-        if index == int(detach_at * total):
-            script.append(("detach", 0))
-        if index == int(snapshot_at * total):
-            script.append(("snapshot",))
-        script.append(op)
-        if index >= int(attach_at * total):
-            script.extend(("batch", chunk, 3) for _, chunk in zip(range(2), late))
-    return script
-
-
-def _kernel_state(merge):
-    return (
-        merge.stats,
-        merge.max_stable,
-        merge._max_vs,
-        getattr(merge, "_same_vs_count", None),
-        getattr(merge, "_hash", None),
-        getattr(merge, "_hash_bytes", None),
-    )
+        check("LMR0", Shape(stable_keep=1.0), 3, make=CountingMerge,
+              roster=False, paths=("process", "batch"), policies=("none",))
 
 
 class _CountingRun(Sequence):
@@ -305,51 +145,16 @@ class TestOrderedRunKernels:
     zone, fresh suffix); every ingest path must still agree with
     ``process`` element for element, state included."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=12)
     @given(
         name=st.sampled_from(sorted(ORDERED_VARIANTS)),
+        shape=st.sampled_from(sorted(SHAPES)),
         seed=st.integers(0, 10**6),
         batch_size=st.sampled_from([1, 2, 7, 64]),
-        lag=st.integers(0, 12),
-        attach_at=st.floats(0.0, 1.0),
-        detach_at=st.floats(0.0, 1.0),
-        snapshot_at=st.floats(0.0, 1.0),
     )
-    def test_paths_agree_after_every_batch(
-        self, name, seed, batch_size, lag, attach_at, detach_at, snapshot_at
-    ):
-        cls = ORDERED_VARIANTS[name]
-        script = _kernel_script(
-            _tie_heavy_replicas(name, seed, 4),
-            batch_size, lag, attach_at, detach_at, snapshot_at,
-        )
-        feeds = _feeds()
-        outputs = {mode: [] for mode in feeds}
-        merges = {}
-        for mode in feeds:
-            merges[mode] = cls(sink=outputs[mode].append)
-            for sid in range(3):
-                merges[mode].attach(sid)
-        seen = 0
-        for op in script:
-            for mode, feed in feeds.items():
-                merge = merges[mode]
-                if op[0] == "batch":
-                    if merge.is_attached(op[2]):
-                        feed(merge, op[1], op[2])
-                elif op[0] == "snapshot":
-                    merges[mode] = cls(sink=outputs[mode].append)
-                    merges[mode].restore_state(merge.snapshot_state())
-                else:
-                    getattr(merge, op[0])(op[1])
-            reference = outputs["element"][seen:]
-            for mode in ("batch", "columns"):
-                assert outputs[mode][seen:] == reference, (mode, op)
-                assert _kernel_state(merges[mode]) == _kernel_state(
-                    merges["element"]
-                ), (mode, op)
-            seen = len(outputs["element"])
-        assert seen > 0
+    def test_paths_agree_after_every_batch(self, name, shape, seed, batch_size):
+        check(name, shape, seed, batches=(batch_size,), paths=EXACT,
+              policies=("none",))
 
     @pytest.mark.parametrize("name", sorted(ORDERED_VARIANTS))
     def test_run_costs_its_decisions_not_its_elements(self, name):
@@ -454,20 +259,11 @@ class TestOrderedRunKernels:
 class TestCoalescedStables:
     """coalesce_stables=True: logical equivalence, fewer stables out."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        name=st.sampled_from(sorted(ALL_VARIANTS)),
-        seed=st.integers(0, 10**6),
-        schedule=st.sampled_from(SCHEDULES),
-    )
-    def test_tdb_equivalent(self, name, seed, schedule):
-        streams = _streams_for(name, seed % 19, 3)
-        chunks = list(interleave_batches(streams, schedule, seed, 32))
-        per = _run_per_element(ALL_VARIANTS[name], chunks, 3)
-        bat = _run_batched(ALL_VARIANTS[name], chunks, 3, coalesce=True)
-        assert per.output.tdb() == bat.output.tdb()
-        assert bat.stats.stables_out <= per.stats.stables_out
-        assert bat.stats.stables_in == per.stats.stables_in
+    @settings(max_examples=10)
+    @given(name=st.sampled_from(sorted(VARIANTS)), seed=st.integers(0, 10**6))
+    def test_tdb_equivalent(self, name, seed):
+        check(name, "divergent", seed, paths=("process", "coalesce"),
+              policies=("none",))
 
     def test_coalesced_run_advances_once(self):
         """A run of stables with no data between them becomes one
@@ -513,7 +309,7 @@ class TestProcessBatchContract:
     def test_interleave_batches_flattens_to_interleave(self):
         """For the sequential schedule the chunked interleaving flattens
         to exactly the per-element interleaving."""
-        streams = _general_streams(7, 3)
+        streams = scenario("LMR3+", seed=7).replicas
         flat = [
             (element, sid)
             for chunk, sid in interleave_batches(streams, "sequential", 0, 13)
@@ -522,7 +318,7 @@ class TestProcessBatchContract:
         assert flat == list(interleave(streams, "sequential", 0))
 
     def test_interleave_batches_preserves_per_stream_order(self):
-        streams = _general_streams(9, 3)
+        streams = scenario("LMR3+", seed=9).replicas
         for schedule in SCHEDULES:
             seen = {i: [] for i in range(len(streams))}
             for chunk, sid in interleave_batches(streams, schedule, 4, 7):

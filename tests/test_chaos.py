@@ -15,7 +15,7 @@ from repro.resilience.chaos import run_chaos_cell, run_fault_matrix
 
 
 class TestRandomKillBoundaries:
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=4)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         variant=st.sampled_from(["r1", "r3"]),
@@ -27,7 +27,7 @@ class TestRandomKillBoundaries:
         assert cell["equivalent"], cell
         assert cell["no_loss_no_duplication"], cell
 
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=3)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_r4_survives_kills(self, seed):
         cell = run_chaos_cell("r4", "kill", seed, count=120)

@@ -7,13 +7,15 @@ Three claims about :mod:`repro.engine.columnar`:
    (``encode``/``decode``) preserves every element — including mixed
    kinds, ``+inf`` lifetimes, and zero-copy slices.
 2. Swapping the exchange envelope (``columnar`` vs the PR3-era
-   ``object`` lists) under a sharded LMR3+ changes nothing observable:
-   both outputs reconstitute to the reference TDB on the thread AND the
-   process backend (the latter exercising the shared-memory rings).
-3. Bounded-edge admission keeps its prefix semantics for columnar
-   batches: on overflow the fitting prefix is enqueued, the raised
-   :class:`QueueFullError` carries ``accepted``/``rejected`` row counts,
-   and the producer resumes from ``batch.slice(accepted, len(batch))``.
+   ``object`` lists) under a sharded LMR3+/LMR4 changes nothing
+   observable (``oracle.check_sharded``) on the thread AND the process
+   backend (the latter exercising the shared-memory rings).
+3. A columnar batch delivered to a bounded edge keeps prefix admission:
+   the edge materializes it (``Operator.receive_columns``) and admits
+   like ``receive_batch`` — on overflow the fitting prefix is enqueued,
+   the raised :class:`QueueFullError` carries ``accepted``/``rejected``
+   row counts, and the producer resumes from
+   ``batch.slice(accepted, len(batch))``.
 """
 
 from hypothesis import given, settings
@@ -25,13 +27,12 @@ from repro.engine.operator import CollectorSink
 from repro.engine.runtime import QueuedEdge, QueueFullError
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r4 import LMergeR4
-from repro.lmerge.shard import shard
 from repro.operators.exchange import partition_batch, partition_columns
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import INFINITY
-from repro.theory.equivalence import equivalent_prefixes
 
 from conftest import divergent_inputs, small_stream
+from oracle import SHAPES, check_sharded
 
 # ----------------------------------------------------------------------
 # Element strategies: mixed kinds, int and infinite timestamps, payload
@@ -56,14 +57,14 @@ _element_lists = st.lists(
 
 
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(elements=_element_lists)
     def test_from_elements_to_elements_identity(self, elements):
         batch = ColumnBatch.from_elements(elements)
         assert len(batch) == len(elements)
         assert list(batch.to_elements()) == elements
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(elements=_element_lists)
     def test_wire_round_trip_preserves_elements(self, elements):
         batch = ColumnBatch.from_elements(elements)
@@ -74,7 +75,7 @@ class TestRoundTrip:
         # them as equal, which is the documented contract.
         assert list(decoded.to_elements()) == elements
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         elements=_element_lists,
         cut=st.integers(min_value=0, max_value=60),
@@ -125,40 +126,21 @@ class TestEnvelopeEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("variant", [LMergeR3, LMergeR4])
     def test_columnar_matches_object_tdb(self, backend, variant):
-        reference = small_stream(count=200, seed=11, disorder=0.3)
-        inputs = divergent_inputs(reference, n=2)
-        outputs = {}
         for envelope in ("columnar", "object"):
-            plan = shard(
-                variant, 3, backend=backend, envelope=envelope
-            )
-            outputs[envelope] = plan.merge(inputs, schedule="round_robin")
-        columnar, obj = outputs["columnar"], outputs["object"]
-        assert columnar.tdb() == obj.tdb() == reference.tdb()
-        assert equivalent_prefixes(
-            list(columnar), len(columnar), list(obj), len(obj)
-        )
+            check_sharded(variant.algorithm, seed=11, backend=backend,
+                          envelope=envelope)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6)
     @given(
         num_shards=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=30),
-        disorder=st.sampled_from([0.0, 0.2, 0.5]),
+        shape=st.sampled_from(sorted(SHAPES)),
     )
-    def test_columnar_serial_equivalence_random(
-        self, num_shards, seed, disorder
-    ):
-        """Randomized sweep on the cheap backend: the columnar plan's TDB
-        matches the unsharded object-path merge for random shard counts
-        and disorder levels."""
-        reference = small_stream(count=150, seed=seed, disorder=disorder)
-        inputs = divergent_inputs(reference, n=2)
-        plan = shard(
-            LMergeR3, num_shards, backend="serial", envelope="columnar"
-        )
-        sharded_out = plan.merge(inputs, schedule="round_robin")
-        unsharded_out = LMergeR3().merge(inputs, schedule="round_robin")
-        assert sharded_out.tdb() == unsharded_out.tdb() == reference.tdb()
+    def test_columnar_serial_equivalence_random(self, num_shards, seed, shape):
+        """The columnar plan on the cheap backend, for random shard
+        counts and shapes."""
+        check_sharded("LMR3+", shape, seed, shards=num_shards,
+                      backend="serial", envelope="columnar")
 
     def test_custom_key_fn_columnar(self):
         """A non-identity key takes partition_columns' per-row hash path; it
@@ -226,7 +208,7 @@ class TestColumnarAdmission:
         assert edge.depth == 2
 
     def test_admission_matches_object_path_accounting(self):
-        """receive_columns leaves the same observable edge state as
+        """A columnar delivery leaves the same observable edge state as
         receive_batch of the same slice (counters included)."""
         elements = [Insert(i, i, i + 2) for i in range(7)]
         col_edge, col_sink = _edge(capacity=4)
@@ -246,7 +228,7 @@ class TestColumnarAdmission:
 
     def test_partial_drain_slices_batch(self):
         """A drain budget smaller than the queued batch delivers a prefix
-        slice and leaves the remainder columnar in the queue."""
+        and leaves the remainder queued."""
         edge, sink = _edge(capacity=None)
         elements = [Insert(i, i, i + 1) for i in range(6)] + [Stable(9)]
         edge.receive_columns(ColumnBatch.from_elements(elements))

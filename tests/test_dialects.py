@@ -95,7 +95,7 @@ class TestElementsToOpenClose:
 
 
 class TestRoundTrip:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(seed=st.integers(0, 10**6))
     def test_open_close_round_trip_preserves_tdb(self, seed):
         """open/close -> elements -> open/close keeps the logical TDB."""

@@ -163,7 +163,7 @@ class TestDivergeComposition:
         assert first != second
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     seed=st.integers(0, 10_000),
     fraction=st.floats(0.0, 1.0),

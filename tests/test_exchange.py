@@ -123,7 +123,7 @@ class TestShardUnion:
         assert union.frontiers == (11, 12)
         assert union.emitted_stable == 11
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         script=st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 50)), max_size=60

@@ -1,6 +1,8 @@
 """Cross-module integration tests: policies under the oracle, composed
 plans, counters, and mixed delay models."""
 
+from functools import partial
+
 import pytest
 
 from repro.engine.query import Query
@@ -24,7 +26,8 @@ from repro.operators.select import Filter
 from repro.operators.union import Union
 from repro.temporal.elements import Insert, Stable
 
-from conftest import divergent_inputs, merge_with_oracle, small_stream
+from conftest import small_stream
+from oracle import check
 
 
 class TestPoliciesUnderOracle:
@@ -41,47 +44,16 @@ class TestPoliciesUnderOracle:
         ids=["eager", "half-frozen", "leading", "quorum"],
     )
     def test_policy_oracle(self, policy):
-        reference = small_stream(count=150, seed=150, stable_freq=0.08)
-        inputs = divergent_inputs(reference, n=3, speculate_fraction=0.4)
-        merge_with_oracle(LMergeR3(policy=policy), inputs, check_every=5)
+        check("LMR3+", seed=150, make=partial(LMergeR3, policy=policy),
+              paths=("process",), policies=("none",))
 
 
 class TestDetachUnderOracle:
     def test_r3_detach_midway_stays_compatible(self):
-        from repro.lmerge.base import interleave
-        from repro.temporal.tdb import TDB
-        from repro.theory.compatibility import check_r3_compatibility
-
-        reference = small_stream(count=150, seed=151)
-        inputs = divergent_inputs(reference, n=3)
-        merge = LMergeR3()
-        for stream_id in range(3):
-            merge.attach(stream_id)
-        input_tdbs = [TDB() for _ in inputs]
-        output_tdb = TDB()
-        cursor = 0
-        cut = len(inputs[2]) // 3
-        step = 0
-        detached = False
-        for element, stream_id in interleave(list(inputs), "round_robin", 0):
-            if detached and stream_id == 2:
-                continue  # the failed replica's residual output is lost
-            merge.process(element, stream_id)
-            input_tdbs[stream_id].apply(element)
-            while cursor < len(merge.output):
-                output_tdb.apply(merge.output[cursor])
-                cursor += 1
-            step += 1
-            if not detached and input_tdbs[2].stable_point >= 0 and step > cut:
-                merge.detach(2)
-                detached = True
-                # From here the oracle judges against the survivors plus
-                # the failed input's final (frozen-in-time) prefix.
-            if step % 7 == 0:
-                violations = check_r3_compatibility(input_tdbs, output_tdb)
-                assert not violations, "; ".join(str(v) for v in violations)
-        assert detached
-        assert merge.output.tdb() == reference.tdb()
+        """The roster script detaches the laggard and the straggler; the
+        oracle judges against the survivors plus each failed input's
+        final, frozen-in-time prefix."""
+        check("LMR3+", seed=151, paths=("process",), policies=("none",))
 
 
 class TestCounters:

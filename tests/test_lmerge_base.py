@@ -88,11 +88,9 @@ class TestMergeStats:
         assert all(p.adjusts_out == 1 for p in parts)
 
     def test_merge_stats_helper(self):
-        from repro.metrics import merge_stats
-
         parts = [MergeStats(stables_in=2), MergeStats(stables_in=5)]
-        assert merge_stats(parts).stables_in == 7
-        assert merge_stats([]).elements_in == 0
+        assert sum(parts, MergeStats()).stables_in == 7
+        assert sum([], MergeStats()).elements_in == 0
 
     def test_counting_by_processing(self):
         merge = LMergeR3()

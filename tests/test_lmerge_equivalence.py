@@ -1,193 +1,80 @@
 """Cross-algorithm property tests: every LMerge algorithm, fed inputs
 satisfying its restriction, produces a logically equivalent output.
 
-These are the repository's strongest correctness tests: hypothesis drives
-random logical histories through random physical presentations, random
-interleavings, and random punctuation cadences.
+Hypothesis draws the scenario (seed, shape, roster); the oracle
+(``oracle.py``) builds the divergent replicas and the delivery script and
+checks the output against the reference TDB and C1-C3 at every stable.
 """
 
-import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lmerge.r0 import LMergeR0
-from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
-from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.r3_naive import LMergeR3Naive
-from repro.lmerge.r4 import LMergeR4
-from repro.streams.divergence import diverge
-from repro.streams.generator import GeneratorConfig, StreamGenerator
 from repro.streams.stream import PhysicalStream
 from repro.temporal.elements import Insert, Stable
 from repro.temporal.time import INFINITY
 
+from oracle import SHAPES, VARIANTS, Shape, check
 
-def generate_reference(seed, count=120, disorder=0.2, stable_freq=0.08):
-    config = GeneratorConfig(
-        count=count,
-        seed=seed,
-        disorder=disorder,
-        stable_freq=stable_freq,
-        payload_blob_bytes=2,
-        event_duration=60,
-    )
-    return StreamGenerator(config).generate()
+seeds = st.integers(0, 10**6)
+shapes = st.sampled_from(sorted(SHAPES))
+ONCE = dict(paths=("process",), policies=("none",))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=8)
 @given(
-    seed=st.integers(0, 10**6),
-    n_inputs=st.integers(1, 4),
-    schedule=st.sampled_from(["round_robin", "sequential", "random"]),
+    seed=seeds,
+    shape=shapes,
+    roster=st.booleans(),
     speculate=st.floats(0.0, 0.8),
     stable_keep=st.floats(0.2, 1.0),
 )
-def test_r3_always_equivalent(seed, n_inputs, schedule, speculate, stable_keep):
-    reference = generate_reference(seed % 17)
-    inputs = [
-        diverge(
-            reference,
-            seed=seed + i,
-            speculate_fraction=speculate,
-            stable_keep_probability=stable_keep,
-        )
-        for i in range(n_inputs)
-    ]
-    merge = LMergeR3()
-    output = merge.merge(inputs, schedule=schedule, seed=seed)
-    assert output.tdb() == reference.tdb()
+def test_r3_always_equivalent(seed, shape, roster, speculate, stable_keep):
+    shape = replace(SHAPES[shape], speculate=speculate, stable_keep=stable_keep)
+    check("LMR3+", shape, seed, roster=roster, **ONCE)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10**6),
-    n_inputs=st.integers(1, 4),
-    schedule=st.sampled_from(["round_robin", "sequential", "random"]),
-    speculate=st.floats(0.0, 0.8),
-)
-def test_r4_always_equivalent(seed, n_inputs, schedule, speculate):
-    reference = generate_reference(seed % 13)
-    inputs = [
-        diverge(reference, seed=seed + i, speculate_fraction=speculate)
-        for i in range(n_inputs)
-    ]
-    merge = LMergeR4()
-    output = merge.merge(inputs, schedule=schedule, seed=seed)
-    assert output.tdb() == reference.tdb()
+@settings(max_examples=6)
+@given(seed=seeds, shape=shapes, roster=st.booleans())
+def test_r4_always_equivalent(seed, shape, roster):
+    check("LMR4", shape, seed, roster=roster, **ONCE)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10**6),
-    n_inputs=st.integers(1, 4),
-    schedule=st.sampled_from(["round_robin", "sequential", "random"]),
-)
-def test_naive_matches_r3plus(seed, n_inputs, schedule):
+@settings(max_examples=4)
+@given(seed=seeds, shape=shapes)
+def test_naive_matches_r3plus(seed, shape):
     """LMR3- and LMR3+ are different implementations of the same spec."""
-    reference = generate_reference(seed % 11)
-    inputs = [
-        diverge(reference, seed=seed + i, speculate_fraction=0.4)
-        for i in range(n_inputs)
-    ]
-    plus = LMergeR3().merge(inputs, schedule=schedule, seed=seed)
-    naive = LMergeR3Naive().merge(inputs, schedule=schedule, seed=seed)
-    assert plus.tdb() == naive.tdb() == reference.tdb()
+    assert check("LMR3-", shape, seed, **ONCE) == check("LMR3+", shape, seed, **ONCE)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n_inputs=st.integers(1, 4))
-def test_r0_on_strict_streams(seed, n_inputs):
-    config = GeneratorConfig(
-        count=100,
-        seed=seed % 19,
-        disorder=0.0,
-        min_gap=1,
-        payload_blob_bytes=2,
-        stable_freq=0.05,
-    )
-    reference = StreamGenerator(config).generate()
-    merge = LMergeR0()
-    output = merge.merge([reference] * n_inputs, schedule="random", seed=seed)
-    assert output.tdb() == reference.tdb()
+@settings(max_examples=10)
+@given(seed=seeds, shape=shapes)
+def test_r0_on_strict_streams(seed, shape):
+    check("LMR0", shape, seed, **ONCE)
 
 
-def _shuffle_same_vs_batches(reference, rng):
-    """Permute elements only *within* equal-Vs insert runs — exactly the
-    R2 freedom (order among elements with the same Vs differs across
-    inputs, Vs order itself is preserved)."""
-    out = []
-    batch = []
-    batch_vs = None
-    for element in reference:
-        if isinstance(element, Insert) and element.vs == batch_vs:
-            batch.append(element)
-            continue
-        rng.shuffle(batch)
-        out.extend(batch)
-        batch = []
-        batch_vs = None
-        if isinstance(element, Insert):
-            batch = [element]
-            batch_vs = element.vs
-        else:
-            out.append(element)
-    rng.shuffle(batch)
-    out.extend(batch)
-    return PhysicalStream(out)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n_inputs=st.integers(2, 4))
-def test_r2_reordered_same_vs(seed, n_inputs):
+@settings(max_examples=10)
+@given(seed=seeds, shape=shapes)
+def test_r2_reordered_same_vs(seed, shape):
     """R2 inputs: identical logical batches per Vs, per-input shuffles."""
-    rng = random.Random(seed)
-    elements = []
-    vs = 0
-    for batch in range(12):
-        vs += rng.randint(1, 5)
-        for item in range(rng.randint(1, 4)):
-            elements.append(Insert((batch, item), vs, vs + 10))
-        if rng.random() < 0.4:
-            elements.append(Stable(vs))
-    elements.append(Stable(INFINITY))
-    reference = PhysicalStream(elements)
-    inputs = [
-        _shuffle_same_vs_batches(reference, random.Random(seed + i))
-        for i in range(n_inputs)
-    ]
-    merge = LMergeR2()
-    output = merge.merge(inputs, schedule="random", seed=seed)
-    assert output.tdb() == reference.tdb()
+    check("LMR2", shape, seed, **ONCE)
 
 
 @pytest.mark.parametrize(
-    "algorithm",
-    [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR3Naive, LMergeR4],
-    ids=lambda cls: cls.algorithm,
+    "algorithm", list(VARIANTS.values()), ids=lambda cls: cls.algorithm
 )
 class TestHierarchy:
     """Every algorithm handles inputs from any *stronger* restriction."""
 
     def test_r0_inputs_accepted_by_all(self, algorithm):
-        config = GeneratorConfig(
-            count=200, seed=4, disorder=0.0, min_gap=1, payload_blob_bytes=2
-        )
-        reference = StreamGenerator(config).generate()
-        merge = algorithm()
-        output = merge.merge([reference, reference], schedule="round_robin")
-        assert output.tdb() == reference.tdb()
+        check("LMR0", "divergent", 4, make=algorithm, roster=False, **ONCE)
 
     def test_identical_replicas(self, algorithm):
-        config = GeneratorConfig(
-            count=200, seed=5, disorder=0.0, min_gap=1, payload_blob_bytes=2
-        )
-        reference = StreamGenerator(config).generate()
-        merge = algorithm()
-        output = merge.merge([reference] * 3, schedule="random", seed=9)
-        assert output.tdb() == reference.tdb()
+        check("LMR0", Shape(stable_keep=1.0), 5, make=algorithm, **ONCE)
 
 
 class TestGeneralBeatsSpecialOnWeakInputs:

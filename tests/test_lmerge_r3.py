@@ -10,12 +10,8 @@ from repro.temporal.event import Event
 from repro.temporal.tdb import TDB
 from repro.temporal.time import INFINITY
 
-from conftest import (
-    assert_merge_equivalent,
-    divergent_inputs,
-    merge_with_oracle,
-    small_stream,
-)
+from conftest import divergent_inputs, small_stream
+from oracle import Shape, check
 
 
 def attach(merge, n=2):
@@ -158,24 +154,18 @@ class TestTheorem1NonChattiness:
 
 
 class TestOracleCompliance:
-    """After every element, the output prefix satisfies C1-C3."""
+    """At every stable the output prefix satisfies C1-C3 (``oracle.py``)."""
 
     def test_oracle_round_robin(self, algorithm):
-        reference = small_stream(count=200, seed=7)
-        inputs = divergent_inputs(reference, n=3, speculate_fraction=0.4)
-        merge_with_oracle(algorithm(), inputs, check_every=5)
+        check(algorithm.algorithm, seed=7, paths=("process",), policies=("none",))
 
     def test_oracle_random_schedule(self, algorithm):
-        reference = small_stream(count=200, seed=8)
-        inputs = divergent_inputs(reference, n=2, speculate_fraction=0.5)
-        merge_with_oracle(algorithm(), inputs, schedule="random", check_every=5)
+        check(algorithm.algorithm, seed=8, roster=False, paths=("process",),
+              policies=("none",))
 
     def test_oracle_with_thinned_stables(self, algorithm):
-        reference = small_stream(count=200, seed=9, stable_freq=0.1)
-        inputs = divergent_inputs(
-            reference, n=3, speculate_fraction=0.2, stable_keep_probability=0.4
-        )
-        merge_with_oracle(algorithm(), inputs, check_every=7)
+        check(algorithm.algorithm, Shape(stable_keep=0.4), 9,
+              paths=("process",), policies=("none",))
 
 
 class TestEquivalenceAtScale:
@@ -183,18 +173,17 @@ class TestEquivalenceAtScale:
     def test_divergent_replicas(self, algorithm, schedule):
         reference = small_stream(count=800, seed=11)
         inputs = divergent_inputs(reference, n=4, speculate_fraction=0.35)
-        assert_merge_equivalent(
-            algorithm(), inputs, reference.tdb(), schedule=schedule
-        )
+        output = algorithm().merge(inputs, schedule=schedule)
+        assert output.tdb() == reference.tdb()
 
     def test_single_input_passthrough_equivalence(self, algorithm):
         reference = small_stream(count=400, seed=12)
-        assert_merge_equivalent(algorithm(), [reference], reference.tdb())
+        assert algorithm().merge([reference]).tdb() == reference.tdb()
 
     def test_many_inputs(self, algorithm):
         reference = small_stream(count=300, seed=13)
         inputs = divergent_inputs(reference, n=8, speculate_fraction=0.3)
-        assert_merge_equivalent(algorithm(), inputs, reference.tdb())
+        assert algorithm().merge(inputs).tdb() == reference.tdb()
 
 
 class TestDetach:

@@ -13,7 +13,8 @@ from repro.temporal.event import Event
 from repro.temporal.tdb import TDB
 from repro.temporal.time import INFINITY
 
-from conftest import divergent_inputs, merge_with_oracle, small_stream
+from conftest import divergent_inputs, small_stream
+from oracle import Shape, check
 
 
 def attach(merge, n=2):
@@ -156,20 +157,12 @@ class TestEquivalenceWithDuplicates:
         assert output.tdb() == reference.tdb()
 
     def test_r4_conformance_oracle(self):
-        reference = small_stream(count=200, seed=23)
-        inputs = divergent_inputs(reference, n=3, speculate_fraction=0.3)
-        merge_with_oracle(
-            LMergeR4(), inputs, check_r3=True, check_r4=True, check_every=5
-        )
+        check("LMR4", Shape(duplicates=0.0), 23, paths=("process",),
+              policies=("none",))
 
     def test_r4_conformance_oracle_with_duplicates(self):
-        reference = small_stream(count=150, seed=24)
-        duplicated = duplicate_inserts(reference, random.Random(5), fraction=0.2)
-        inputs = [diverge(duplicated, seed=i) for i in range(2)]
         # Key property does not hold: only the R4 count oracle applies.
-        merge_with_oracle(
-            LMergeR4(), inputs, check_r3=False, check_r4=True, check_every=3
-        )
+        check("LMR4", seed=24, paths=("process",), policies=("none",))
 
 
 class TestDetach:

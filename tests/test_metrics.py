@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.metrics.collector import (
-    AppTimeLatencyProbe,
-    MemoryProbe,
-    ThroughputTimeline,
-    wall_clock_throughput,
-)
+from repro.metrics.collector import AppTimeLatencyProbe, ThroughputTimeline
 from repro.temporal.elements import Insert, Stable
 
 
@@ -59,37 +54,6 @@ class TestThroughputTimeline:
     def test_bucket_validation(self):
         with pytest.raises(ValueError):
             ThroughputTimeline(bucket=0)
-
-
-class TestMemoryProbe:
-    def test_sampling_interval(self):
-        values = iter(range(100))
-        probe = MemoryProbe(lambda: next(values), interval=10)
-        for _ in range(35):
-            probe.tick()
-        assert len(probe.samples) == 3
-
-    def test_peak_and_mean(self):
-        values = iter([10, 50, 30])
-        probe = MemoryProbe(lambda: next(values), interval=1)
-        for _ in range(3):
-            probe.tick()
-        assert probe.peak == 50
-        assert probe.mean == pytest.approx(30.0)
-
-    def test_explicit_sample(self):
-        probe = MemoryProbe(lambda: 7, interval=1000)
-        assert probe.sample() == 7
-        assert probe.samples == [7]
-
-    def test_empty_probe(self):
-        probe = MemoryProbe(lambda: 7)
-        assert probe.peak == 0
-        assert probe.mean == 0.0
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            MemoryProbe(lambda: 0, interval=0)
 
 
 class TestAppTimeLatencyProbe:
@@ -146,10 +110,3 @@ class TestAppTimeLatencyProbe:
         probe = AppTimeLatencyProbe()
         assert probe.mean == 0.0
         assert probe.percentile(0.5) == 0.0
-
-
-class TestWallClock:
-    def test_returns_rate_and_count(self):
-        rate, count = wall_clock_throughput(lambda: sum(range(10000)) and 10000)
-        assert count == 10000
-        assert rate > 0

@@ -3,10 +3,10 @@
 import math
 
 from repro.engine.operator import Operator
+from repro.lmerge.base import MergeStats
 from repro.lmerge.feedback import FeedbackSignal
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.shard import shard
-from repro.metrics.collector import merge_stats
 from repro.obs.lmerge_obs import (
     LMergeObserver,
     ShardObserver,
@@ -159,14 +159,14 @@ class TestLMergeObserver:
 
 class TestShardObserver:
     def test_sharded_gauges_consistent_with_merge_stats(self):
-        """A sharded run's registry counters must agree with the
-        metrics.merge_stats fold of the per-shard MergeStats."""
+        """A sharded run's registry counters must agree with the sum of
+        the per-shard MergeStats."""
         registry = MetricRegistry()
         reference = small_stream(count=300, blob=2)
         inputs = divergent_inputs(reference, n=2)
         plan = shard(LMergeR3, 2, backend="serial", registry=registry)
         plan.merge(inputs, schedule="sequential")
-        aggregate = merge_stats(plan.shard_stats)
+        aggregate = sum(plan.shard_stats, MergeStats())
         assert aggregate.elements_in == plan.stats.elements_in
 
         total_in = sum(

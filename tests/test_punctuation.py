@@ -91,7 +91,7 @@ class TestHeartbeats:
         with pytest.raises(ValueError):
             with_heartbeats(PhysicalStream(), max_delay=1, every=0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         seed=st.integers(0, 1000),
         every=st.integers(5, 60),

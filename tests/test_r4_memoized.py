@@ -3,20 +3,20 @@
 ``LMergeR4._stable`` looks only at the nodes its frontier hands out —
 new to the freezing stream, mutated, or past their recorded bound — and
 on those skips the reconcile half while the recorded verdict still
-holds.  :class:`FullVisitR4` forgets
-every verdict and resets the frontier before every ``stable()``, which is
-the walk as it was before either: every half-frozen node visited and
-re-derived on every CTI.  The two must be indistinguishable from outside
-— same output elements in the same order, same resident index after
-every step.
+holds.  ``oracle.FullVisitR4`` forgets every verdict and resets the
+frontier before every ``stable()``: the walk as it was before either.
+The oracle drives the two in lockstep on every LMR4 scenario (same
+output elements in the same order, same resident index after every
+step); the tests here add the frontier's own mutants, arbitrary
+out-of-contract input, its work counts and its memory bound.
 """
 
 from __future__ import annotations
 
 import base64
-import itertools
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,236 +24,64 @@ from hypothesis import strategies as st
 
 from repro.lmerge import LMergeR4, ReclamationPolicy
 from repro.lmerge.base import InputStateError
-from repro.streams.divergence import diverge, duplicate_inserts
 from repro.structures import frontier as frontier_module
-from repro.structures.in3t import In3T, In3TNode
+from repro.structures.in3t import In3T
 from repro.temporal.elements import Adjust, Insert, Stable
-from repro.temporal.tdb import StreamViolationError, reconstitute
+from repro.temporal.tdb import StreamViolationError
 from repro.temporal.time import INFINITY
 
-from conftest import small_stream
+from oracle import (
+    ALWAYS_TRIM,
+    GRID_SEEDS,
+    POLICIES,
+    SHAPES,
+    FullVisitR4,
+    assert_mutant_fails,
+    check,
+    check_grid,
+)
 
 
-class FullVisitR4(LMergeR4):
-    """The reference: no verdict and no frontier survive from one
-    stable() to the next, so each one visits every node below *t*."""
-
-    def _stable(self, t, stream_id):
-        for node in self._index.nodes():
-            node.reconciled = node.agreement = None
-        self._frontier.reset(self._inputs)
-        super()._stable(t, stream_id)
-
-
-POLICIES = {"none": None, "prune": ReclamationPolicy()}
-
-STRAGGLER = 1
-LAGGARD = 2
-JOINER = 3
-
-
-def scenario(seed: int, disorder: float, duplicates: bool, lifetime: int = 100):
-    """A delivery script — ``(op, stream_id, element)`` triples.
-
-    Two leaders; a trailing replica that later races ahead (so a stream
-    that never walked becomes the one that walks, and must see every node
-    below *t*) and is detached at some point of that; a replica that
-    attaches late and replays from scratch; a leader that stalls and is
-    detached while the others' nodes wait on it (prunable from then on
-    with no mutation to announce it); one snapshot/restore.
-    """
-    rng = random.Random(seed)
-    reference = small_stream(
-        count=140,
-        seed=seed % 31,
-        disorder=disorder,
-        stable_freq=0.12,
-        event_duration=lifetime,
-    )
-    if duplicates:
-        reference = duplicate_inserts(reference, random.Random(seed), fraction=0.2)
-    inputs = [
-        list(
-            diverge(
-                reference,
-                seed=seed * 7 + i,
-                speculate_fraction=0.4,
-                stable_keep_probability=0.8,
-            )
-        )
-        for i in range(4)
-    ]
-    lag = rng.randint(20, 120)
-    join_at = rng.randint(40, 200)
-    overtake_at = rng.randint(80, 220)
-    detach_at = rng.randint(150, 550)
-    stall_at = rng.randint(120, 350)
-    drop_at = stall_at + rng.randint(40, 200)
-    snapshot_at = rng.randint(30, 400)
-    cursors = [0, 0, 0, 0]
-    live = [0, STRAGGLER, LAGGARD]
-    script = [("attach", stream_id, None) for stream_id in live]
-    step = 0
-
-    def held_back(i):
-        if i == LAGGARD:
-            return step < overtake_at and cursors[i] + lag >= cursors[0]
-        return i == STRAGGLER and step >= stall_at
-
-    while any(cursors[i] < len(inputs[i]) for i in live):
-        step += 1
-        if step == join_at:
-            script.append(("attach", JOINER, None))
-            live.append(JOINER)
-        if step == detach_at and LAGGARD in live:
-            script.append(("detach", LAGGARD, None))
-            live.remove(LAGGARD)
-        if step == drop_at and STRAGGLER in live:
-            script.append(("detach", STRAGGLER, None))
-            live.remove(STRAGGLER)
-        if step == snapshot_at:
-            script.append(("snapshot", None, None))
-        unfinished = [i for i in live if cursors[i] < len(inputs[i])]
-        if not unfinished:
-            break  # this step's detach dropped the last one with input left
-        # Only held-back replicas have input left: let them drain.
-        ready = [i for i in unfinished if not held_back(i)] or unfinished
-        # The joiner replays history and the overtaking laggard has a lag
-        # to make up (and then a lead to keep): fed faster until they have.
-        weights = [
-            3 if i == JOINER and cursors[i] < cursors[0]
-            else 6 if i == LAGGARD and cursors[i] < cursors[0] + 15
-            else 1
-            for i in ready
-        ]
-        stream_id = rng.choices(ready, weights)[0]
-        script.append(("feed", stream_id, inputs[stream_id][cursors[stream_id]]))
-        cursors[stream_id] += 1
-    return reference, script
-
-
-def restored(merge, cls, policy, out):
-    fresh = cls(sink=out.append, reclamation=policy)
-    fresh.restore_state(pickle.loads(pickle.dumps(merge.snapshot_state())))
-    return fresh
-
-
-def run_scenario(
-    seed, disorder, duplicates, policy_name, lifetime=100, fast_cls=LMergeR4
-):
-    """Drive :func:`scenario` through LMergeR4 and the full-walk
-    reference in lockstep; any visible difference is an AssertionError."""
-    policy = POLICIES[policy_name]
-    reference, script = scenario(seed, disorder, duplicates, lifetime)
-    fast_out, full_out = [], []
-    fast = fast_cls(sink=fast_out.append, reclamation=policy)
-    full = FullVisitR4(sink=full_out.append, reclamation=policy)
-    checked = 0
-    for op, stream_id, element in script:
-        if op == "attach":
-            # Replays everything from scratch; vouches from here on.
-            guarantee = fast.max_stable if stream_id == JOINER else -INFINITY
-            fast.attach(stream_id, guarantee)
-            full.attach(stream_id, guarantee)
-        elif op == "detach":
-            fast.detach(stream_id)
-            full.detach(stream_id)
-        elif op == "snapshot":
-            fast = restored(fast, fast_cls, policy, fast_out)
-            full = restored(full, FullVisitR4, policy, full_out)
-        else:
-            fast.process(element, stream_id)
-            full.process(element, stream_id)
-        assert fast_out[checked:] == full_out[checked:], (op, stream_id, element)
-        checked = len(fast_out)
-        assert len(full_out) == checked
-        assert fast.index_nodes == full.index_nodes, (op, stream_id, element)
-    assert fast.stable_scan_nodes <= full.stable_scan_nodes
-    assert fast.pruned_nodes == full.pruned_nodes
-    assert fast.dropped_frozen == full.dropped_frozen
-    assert fast.stable_reconciled_nodes <= full.stable_reconciled_nodes
-    assert fast._index.snapshot() == full._index.snapshot()
-    if policy is None:
-        # The script is a legal R4 workload, not just a consistent one.
-        assert reconstitute(fast_out) == reference.tdb()
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=15)
 @given(
     seed=st.integers(0, 10_000),
-    disorder=st.sampled_from([0.0, 0.3, 0.6]),
-    duplicates=st.booleans(),
+    shape=st.sampled_from(sorted(SHAPES)),
     policy_name=st.sampled_from(sorted(POLICIES)),
-    lifetime=st.sampled_from([100, 600]),
+    recover=st.sampled_from([None, "pause"]),
 )
 def test_frontier_stable_is_indistinguishable_from_the_full_walk(
-    seed, disorder, duplicates, policy_name, lifetime
+    seed, shape, policy_name, recover
 ):
-    run_scenario(seed, disorder, duplicates, policy_name, lifetime)
+    check("LMR4", shape, seed, recover=recover, paths=("process",),
+          policies=(policy_name,))
 
 
-# Seeded mutations of the frontier: each drops one of the reasons a node
-# is looked at again (or the order it is looked at in), and each must make
-# the differential above fail — on a fixed grid, so this cannot flake.
-# FullVisitR4 resets the frontier before every stable and is immune.
+# Seeded mutations of the frontier (``oracle.MUTANTS``): each drops one of
+# the reasons a node is looked at again, or the order it is looked at in,
+# and each must fail the oracle's fixed grid.
 
 
-_decrement = In3TNode.decrement
-
-
-def _decrement_without_touch(self, stream, ve, by=1):
-    log, self._touched = self._touched, []
-    try:
-        _decrement(self, stream, ve, by)
-    finally:
-        self._touched = log
-
-
-class NoResetOnDetach(LMergeR4):
-    def _on_detach(self, stream_id):
-        pass
-
-
-#: Every close trims every heap, not only the ones that outgrew the index.
-ALWAYS_TRIM = (frontier_module, "SLACK", -(10**9))
-
-MUTATIONS = {
-    "no touch on decrement": (
-        LMergeR4, [(In3TNode, "decrement", _decrement_without_touch)]
-    ),
-    "no reset on detach": (NoResetOnDetach, []),
-    "woken set left unsorted": (
-        LMergeR4, [(frontier_module, "sorted", lambda nodes, key: list(nodes))]
-    ),
-    "trim drops current entries": (
-        LMergeR4,
-        [ALWAYS_TRIM, (frontier_module, "_trim", lambda heap, current: heap.clear())],
-    ),
-}
-
-
-def grid():
-    return itertools.product(
-        range(3), [0.0, 0.3, 0.6], [False, True], sorted(POLICIES), [100, 600]
-    )
-
-
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        "no reset on detach",
+        "no touch on decrement",
+        "trim drops current entries",
+        "woken set left unsorted",
+    ],
+)
 def test_seeded_mutation_fails_the_differential(mutation, monkeypatch):
-    fast_cls, patches = MUTATIONS[mutation]
-    for patch in patches:
-        monkeypatch.setattr(*patch, raising=False)
-    with pytest.raises(AssertionError):
-        for args in grid():
-            run_scenario(*args, fast_cls=fast_cls)
+    assert_mutant_fails(mutation, monkeypatch)
 
 
 def test_trimming_the_heaps_on_every_walk_changes_nothing(monkeypatch):
     """The scenarios are too small to outgrow ``2 * resident + SLACK``,
-    so the trim is forced: what it drops must be what nobody waits on."""
+    so the trim is forced: what it drops must be what nobody waits on.
+    The digest grid, then its scenarios again with a paused straggler."""
     monkeypatch.setattr(*ALWAYS_TRIM)
-    for args in grid():
-        run_scenario(*args)
+    check_grid("LMR4")
+    for seed, shape in product(GRID_SEEDS, SHAPES):
+        check("LMR4", shape, seed, recover="pause", paths=("process",))
 
 
 def lockstep(fast, full, call):
@@ -269,7 +97,7 @@ def lockstep(fast, full, call):
     return errors[0] is None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     seed=st.integers(0, 10**9), policy_name=st.sampled_from(sorted(POLICIES))
 )

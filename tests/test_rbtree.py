@@ -133,7 +133,7 @@ class TestInvariantsUnderChurn:
         assert black_height <= 12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     ops=st.lists(
         st.tuples(st.sampled_from(["ins", "del"]), st.integers(0, 50)),
@@ -156,7 +156,7 @@ def test_model_equivalence(ops):
     assert len(tree) == len(model)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     keys=st.sets(st.integers(-1000, 1000), max_size=80),
     bound=st.integers(-1000, 1000),
@@ -219,7 +219,7 @@ class TestExtractRangeAndBetween:
         tree.check_invariants()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     ops=st.lists(
         st.tuples(
@@ -251,7 +251,7 @@ def test_range_ops_model_equivalence(ops):
     assert len(tree) == len(model)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     keys=st.sets(st.integers(-100, 100), max_size=60),
     bound=st.integers(-100, 100),

@@ -20,37 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lmerge import (
-    LMergeR0,
-    LMergeR1,
-    LMergeR2,
-    LMergeR3,
-    LMergeR4,
-    ReclamationPolicy,
-)
-from repro.lmerge.shard import shard
+from repro.lmerge import ReclamationPolicy
 from repro.temporal.elements import Insert, Stable
 from repro.temporal.time import INFINITY
-from repro.theory.equivalence import equivalent_prefixes
 
-from conftest import divergent_inputs, small_stream
+from oracle import SHAPES, VARIANTS, check, check_sharded
 
-ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
-INDEXED = [LMergeR3, LMergeR4]
+ALL_VARIANTS = ["LMR0", "LMR1", "LMR2", "LMR3+", "LMR4"]
+INDEXED = ["LMR3+", "LMR4"]
 
 PRUNE = ReclamationPolicy()
-
-
-def variant_inputs(variant, seed, disorder=0.3):
-    if variant in (LMergeR0, LMergeR1, LMergeR2):
-        reference = small_stream(count=120, seed=seed, disorder=0.0, min_gap=1)
-        return reference, [reference, reference]
-    reference = small_stream(count=120, seed=seed, disorder=disorder)
-    return reference, divergent_inputs(reference, n=2)
-
-
-def replay(merge, inputs):
-    return merge.merge([list(s) for s in inputs], schedule="round_robin")
 
 
 def drive_lagged(merge, n=2000, run=50, window=800):
@@ -74,11 +53,9 @@ def drive_lagged(merge, n=2000, run=50, window=800):
 
 class TestSeedDefault:
     def test_default_is_seed_identical(self):
-        for variant in INDEXED:
-            reference, inputs = variant_inputs(variant, seed=3)
-            seed_out = replay(variant(), inputs)
-            default_out = replay(variant(reclamation=None), inputs)
-            assert list(seed_out) == list(default_out)
+        for name in INDEXED:
+            assert VARIANTS[name]().reclamation is None
+            check(name, seed=3, paths=("process",))
 
     def test_policy_validation(self):
         """The policy is an on/off switch: no field to set, no spill, no
@@ -92,22 +69,18 @@ class TestSeedDefault:
 
 
 class TestPrunedOutputEquivalence:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=6)
     @given(
-        variant=st.sampled_from(INDEXED),
+        name=st.sampled_from(INDEXED),
         seed=st.integers(0, 30),
-        disorder=st.sampled_from([0.0, 0.2, 0.5]),
+        shape=st.sampled_from(sorted(SHAPES)),
     )
-    def test_output_identical_on_equivalence_workloads(
-        self, variant, seed, disorder
-    ):
-        reference, inputs = variant_inputs(variant, seed, disorder)
-        seed_out = replay(variant(), inputs)
-        rec_out = replay(variant(reclamation=PRUNE), inputs)
-        assert list(seed_out) == list(rec_out)
+    def test_output_identical_on_equivalence_workloads(self, name, seed, shape):
+        check(name, shape, seed, paths=("process",))
 
     def test_resident_state_stays_bounded(self):
-        for variant in INDEXED:
+        for name in INDEXED:
+            variant = VARIANTS[name]
             seed_merge = drive_lagged(variant(), window=200)
             rec_merge = drive_lagged(variant(reclamation=PRUNE), window=200)
             assert list(seed_merge.output) == list(rec_merge.output)
@@ -124,7 +97,8 @@ class TestPostPruneSemantics:
         silent on both sides: the seed still holds the node and absorbs
         the duplicate; the reclaiming merge takes the dropped_frozen
         path.  Either way, nothing reaches the output."""
-        for variant in INDEXED:
+        for name in INDEXED:
+            variant = VARIANTS[name]
             seed_merge, rec_merge = variant(), variant(reclamation=PRUNE)
             for merge in (seed_merge, rec_merge):
                 merge.attach(0)
@@ -143,53 +117,25 @@ class TestPostPruneSemantics:
 
 
 class TestSnapshotRestore:
-    @settings(max_examples=10, deadline=None)
-    @given(variant=st.sampled_from(ALL_VARIANTS), seed=st.integers(0, 20))
-    def test_snapshot_prune_restore_roundtrip(self, variant, seed):
+    @settings(max_examples=10)
+    @given(name=st.sampled_from(ALL_VARIANTS), seed=st.integers(0, 20))
+    def test_snapshot_prune_restore_roundtrip(self, name, seed):
         """snapshot -> restore with reclamation on resumes to the same
         output as running straight through (R0-R2 ignore the policy)."""
-        reference, inputs = variant_inputs(variant, seed)
-        policy = PRUNE
-        straight = replay(variant(reclamation=policy), inputs)
+        check(name, seed=seed, paths=("process",), policies=("prune",))
 
-        interleaved = list(
-            __import__("repro.lmerge.base", fromlist=["interleave"]).interleave(
-                [list(s) for s in inputs], "round_robin"
-            )
-        )
-        cut = len(interleaved) // 2
-        first = variant(reclamation=policy)
-        for index in range(len(inputs)):
-            first.attach(index)
-        for element, sid in interleaved[:cut]:
-            first.process(element, sid)
-        snap = first.snapshot_state()
-
-        second = variant(reclamation=policy)
-        second.restore_state(snap)
-        prefix = list(first.output)
-        for element, sid in interleaved[cut:]:
-            second.process(element, sid)
-        assert prefix + list(second.output) == list(straight)
 
 class TestShardedWithReclamation:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8)
     @given(
-        variant=st.sampled_from(INDEXED),
+        name=st.sampled_from(INDEXED),
         num_shards=st.integers(1, 4),
         seed=st.integers(0, 15),
     )
-    def test_sharded_tdb_equivalence_with_pruning(
-        self, variant, num_shards, seed
-    ):
-        reference, inputs = variant_inputs(variant, seed)
-        plan = shard(variant, num_shards, backend="serial", reclamation=PRUNE)
-        output = plan.merge([list(s) for s in inputs], schedule="round_robin")
-        unsharded = replay(variant(), inputs)
-        assert output.tdb() == unsharded.tdb() == reference.tdb()
-        assert equivalent_prefixes(
-            list(output), len(output), list(unsharded), len(unsharded)
-        )
+    def test_sharded_tdb_equivalence_with_pruning(self, name, num_shards, seed):
+        check_sharded(name, seed=seed, shards=num_shards, backend="serial",
+                      reclamation=PRUNE)
+
 
 class TestFreelists:
     def test_retained_node_fails_loudly_after_prune(self):

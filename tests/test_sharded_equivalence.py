@@ -4,9 +4,9 @@ Two claims, both from the partitioning argument in ``repro.lmerge.shard``:
 
 1. The sharded plan's emitted CTIs are exactly the pointwise minimum of
    the per-shard frontiers (ShardUnion alignment at the plan level).
-2. For every variant R0-R4, the sharded output reconstitutes to the same
-   TDB as the unsharded variant and the reference stream, for random
-   shard counts and disorder levels.
+2. For every variant, the sharded output reconstitutes to the reference
+   TDB for random shard counts and shapes, and R3/R4's per-key output is
+   the unsharded merge's (``oracle.check_sharded``).
 """
 
 import inspect
@@ -16,84 +16,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.parallel import ParallelRuntime
-from repro.lmerge.r0 import LMergeR0
-from repro.lmerge.r1 import LMergeR1
-from repro.lmerge.r2 import LMergeR2
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.r4 import LMergeR4
 from repro.lmerge.shard import ShardedLMerge, shard
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisedRuntime
 from repro.temporal.elements import Stable
 from repro.temporal.tdb import reconstitute
-from repro.theory.equivalence import equivalent_prefixes
 
-from conftest import data_by_key, divergent_inputs, small_stream
-
-ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
-
-
-def run_sharded(variant, inputs, num_shards):
-    plan = shard(variant, num_shards, backend="serial")
-    output = plan.merge(inputs, schedule="round_robin")
-    return plan, output
-
-
-def variant_inputs(variant, seed, disorder):
-    """Inputs legal for *variant*: R0-R2 take strictly ordered,
-    adjust-free replicas; R3/R4 take fully divergent speculative inputs."""
-    if variant in (LMergeR0, LMergeR1, LMergeR2):
-        reference = small_stream(
-            count=150, seed=seed, disorder=0.0, min_gap=1
-        )
-        return reference, [reference, reference]
-    reference = small_stream(count=150, seed=seed, disorder=disorder)
-    return reference, divergent_inputs(reference, n=2)
+from conftest import divergent_inputs, small_stream
+from oracle import SHAPES, VARIANTS, check_sharded
 
 
 class TestShardedTdbEquivalence:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(
-        variant=st.sampled_from(ALL_VARIANTS),
+        name=st.sampled_from(sorted(VARIANTS)),
         num_shards=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=40),
-        disorder=st.sampled_from([0.0, 0.2, 0.5]),
+        shape=st.sampled_from(sorted(SHAPES)),
     )
-    def test_sharded_matches_unsharded_tdb(
-        self, variant, num_shards, seed, disorder
-    ):
-        reference, inputs = variant_inputs(variant, seed, disorder)
-
-        plan, sharded_out = run_sharded(variant, inputs, num_shards)
-        unsharded_out = variant().merge(inputs, schedule="round_robin")
-
-        assert sharded_out.tdb() == unsharded_out.tdb() == reference.tdb()
-        assert equivalent_prefixes(
-            list(sharded_out),
-            len(sharded_out),
-            list(unsharded_out),
-            len(unsharded_out),
-        )
+    def test_sharded_matches_unsharded_tdb(self, name, num_shards, seed, shape):
+        check_sharded(name, shape, seed, shards=num_shards, backend="serial")
 
     def test_key_local_variants_are_element_identical(self):
         """R3/R4 make per-(Vs,payload) decisions from key-local state, so
-        sharding preserves not just the TDB but the per-key element
-        sequences: re-sorting both outputs by key yields identical lists.
-        The unsharded run must consume the same interleaving, so it uses
-        the batched driver with the plan's batch size."""
-        reference = small_stream(count=300, seed=9, disorder=0.3)
-        inputs = divergent_inputs(reference, n=3)
-        for variant in (LMergeR3, LMergeR4):
-            plan, sharded_out = run_sharded(variant, inputs, 4)
-            unsharded_out = variant().merge_batched(
-                inputs, schedule="round_robin", batch_size=64
-            )
-
-            assert data_by_key(sharded_out) == data_by_key(unsharded_out)
+        sharding preserves the per-key element sequences, not just the
+        TDB (the oracle feeds the unsharded merge the plan's batches)."""
+        for name in ("LMR3+", "LMR4"):
+            check_sharded(name, seed=9, shards=4, backend="serial")
 
 
 class TestPlanLevelCtiAlignment:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         num_shards=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=30),
@@ -128,8 +82,7 @@ class TestPlanLevelCtiAlignment:
         of some input prefix (sanity of mid-stream alignment)."""
         reference = small_stream(count=100, seed=5, disorder=0.2)
         inputs = divergent_inputs(reference, n=2)
-        plan, output = run_sharded(LMergeR3, inputs, 3)
-        elements = list(output)
+        elements = list(shard(LMergeR3, 3, backend="serial").merge(inputs))
         cti_positions = [
             i for i, e in enumerate(elements) if isinstance(e, Stable)
         ]

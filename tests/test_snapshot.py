@@ -1,16 +1,16 @@
 """Merge state snapshot/restore: the worker-side half of crash recovery.
 
-For every variant R0-R4: interrupt a merge mid-stream, capture
-``snapshot_state()``, restore it into a *fresh* instance (optionally via
-pickle, as a respawned process would), feed both the identical remainder,
-and require element-identical continuations and equal final statistics.
+Every oracle script (``oracle.py``) carries a snapshot step — snapshot,
+pickle, restore into a fresh instance — and every variant R0-R4 must
+continue element-identically to a run without it.  This file adds the
+in-memory handover, the persistence path through a killed-and-reopened
+``StateStore`` and the restore contract.
 """
 
 import pickle
 
 import pytest
 
-from repro.lmerge.base import interleave_batches
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
@@ -20,67 +20,39 @@ from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.resilience.store import StateStore
 from repro.structures.in2t import OUTPUT
 
-from conftest import divergent_inputs, small_stream
+from oracle import FEEDS, apply, run, scenario, script
 
 ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
 
 
-def variant_inputs(variant, seed=5):
-    if variant in (LMergeR0, LMergeR1, LMergeR2):
-        reference = small_stream(count=120, seed=seed, disorder=0.0, min_gap=1)
-        return [reference, reference]
-    reference = small_stream(count=120, seed=seed, disorder=0.3)
-    return divergent_inputs(reference, n=2)
-
-
-def feed_plan(inputs, batch_size=16):
-    return list(
-        interleave_batches(inputs, "round_robin", 0, batch_size)
-    )
-
-
-def run_prefix(variant, feeds, upto):
-    out = []
-    merge = variant(sink=out.append)
-    for stream_id in range(2):
-        merge.attach(stream_id)
-    for chunk, stream_id in feeds[:upto]:
-        merge.process_batch(chunk, stream_id)
-    return merge, out
+def assert_resumes_identically(variant, handover):
+    """Cut a roster-free oracle script halfway, pass the merge through
+    ``handover(merge, cut, emitted) -> state``, restore that into a fresh
+    instance and finish the script: the continuation, statistics and
+    stable point match a run straight through."""
+    steps = script(scenario(variant.algorithm, seed=5).replicas, 5, roster=False)
+    straight, whole = run(variant, steps, "batch")
+    cut = len(steps) // 2
+    out, interrupted = run(variant, steps[:cut], "batch")
+    resumed = variant(sink=out.append)
+    resumed.restore_state(handover(interrupted, cut, len(out)))
+    assert resumed.input_ids == interrupted.input_ids
+    for step in steps[cut:]:
+        apply(resumed, step, FEEDS["batch"], None)
+    assert out == straight
+    assert (resumed.stats, resumed.max_stable) == (whole.stats, whole.max_stable)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("through_pickle", [False, True])
 def test_snapshot_restore_identical_continuation(variant, through_pickle):
-    inputs = variant_inputs(variant)
-    feeds = feed_plan(inputs)
-    cut = len(feeds) // 2
+    """In memory, or across pickle as a respawned worker gets it."""
 
-    # Uninterrupted run.
-    reference_out = []
-    continuous = variant(sink=reference_out.append)
-    for stream_id in range(2):
-        continuous.attach(stream_id)
-    for chunk, stream_id in feeds:
-        continuous.process_batch(chunk, stream_id)
+    def handover(merge, cut, emitted):
+        state = merge.snapshot_state()
+        return pickle.loads(pickle.dumps(state)) if through_pickle else state
 
-    # Interrupted at the cut: snapshot, restore into a fresh instance
-    # (optionally across a pickle boundary, as a respawn would), resume.
-    interrupted, early_out = run_prefix(variant, feeds, cut)
-    snapshot = interrupted.snapshot_state()
-    if through_pickle:
-        snapshot = pickle.loads(pickle.dumps(snapshot))
-    resumed_out = []
-    resumed = variant(sink=resumed_out.append)
-    resumed.restore_state(snapshot)
-    assert resumed.max_stable == interrupted.max_stable
-    assert resumed.input_ids == interrupted.input_ids
-    for chunk, stream_id in feeds[cut:]:
-        resumed.process_batch(chunk, stream_id)
-
-    assert early_out + resumed_out == reference_out
-    assert resumed.stats == continuous.stats
-    assert resumed.max_stable == continuous.max_stable
+    assert_resumes_identically(variant, handover)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -104,34 +76,18 @@ def test_output_sentinel_identity_survives_pickle():
 def test_snapshot_round_trip_through_state_store(tmp_path, variant):
     """The full worker persistence path: snapshot into a StateStore,
     'crash' (reopen without close), restore, and continue identically."""
-    inputs = variant_inputs(variant)
-    feeds = feed_plan(inputs)
-    cut = len(feeds) // 2
 
-    reference_out = []
-    continuous = variant(sink=reference_out.append)
-    for stream_id in range(2):
-        continuous.attach(stream_id)
-    for chunk, stream_id in feeds:
-        continuous.process_batch(chunk, stream_id)
+    def handover(merge, cut, emitted):
+        store = StateStore(str(tmp_path))
+        save_snapshot(store, merge, applied_seq=cut, emitted=emitted)
+        # kill -9: no close; a fresh open must see the synced snapshot.
+        with StateStore(str(tmp_path)) as reopened:
+            state, applied_seq, loaded = load_snapshot(reopened)
+        store.close()
+        assert (applied_seq, loaded) == (cut, emitted)
+        return state
 
-    interrupted, early_out = run_prefix(variant, feeds, cut)
-    store = StateStore(str(tmp_path))
-    save_snapshot(store, interrupted, applied_seq=cut, emitted=len(early_out))
-    # kill -9: no close; a fresh open must see the synced snapshot.
-    reopened = StateStore(str(tmp_path))
-    merge_state, applied_seq, emitted = load_snapshot(reopened)
-    assert applied_seq == cut
-    assert emitted == len(early_out)
-
-    resumed_out = []
-    resumed = variant(sink=resumed_out.append)
-    resumed.restore_state(merge_state)
-    for chunk, stream_id in feeds[cut:]:
-        resumed.process_batch(chunk, stream_id)
-    assert early_out + resumed_out == reference_out
-    reopened.close()
-    store.close()
+    assert_resumes_identically(variant, handover)
 
 
 def test_load_snapshot_empty_store(tmp_path):

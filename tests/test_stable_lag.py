@@ -1,5 +1,7 @@
 """The stable-lag policy (Section V-A's closing observation)."""
 
+from functools import partial
+
 import pytest
 
 from repro.lmerge.policies import OutputPolicy
@@ -7,7 +9,8 @@ from repro.lmerge.r3 import LMergeR3
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import INFINITY
 
-from conftest import divergent_inputs, merge_with_oracle, small_stream
+from conftest import divergent_inputs, small_stream
+from oracle import check
 
 
 class TestStableLag:
@@ -52,20 +55,12 @@ class TestStableLag:
         assert lagged.stats.adjusts_out <= prompt.stats.adjusts_out
 
     def test_equivalence_end_to_end(self):
-        reference = small_stream(count=300, seed=160, stable_freq=0.08)
-        inputs = divergent_inputs(reference, n=3, speculate_fraction=0.4)
-        merge = LMergeR3(policy=OutputPolicy(stable_lag=200))
-        output = merge.merge(inputs, schedule="random", seed=8)
-        assert output.tdb() == reference.tdb()
+        lagged = partial(LMergeR3, policy=OutputPolicy(stable_lag=200))
+        check("LMR3+", seed=160, make=lagged, roster=False, paths=("process",))
 
     def test_oracle_compliance(self):
-        reference = small_stream(count=150, seed=161, stable_freq=0.08)
-        inputs = divergent_inputs(reference, n=2, speculate_fraction=0.3)
-        merge_with_oracle(
-            LMergeR3(policy=OutputPolicy(stable_lag=100)),
-            inputs,
-            check_every=6,
-        )
+        lagged = partial(LMergeR3, policy=OutputPolicy(stable_lag=100))
+        check("LMR3+", seed=161, make=lagged, paths=("process",))
 
     def test_lag_retains_more_state(self):
         reference = small_stream(
