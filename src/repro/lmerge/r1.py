@@ -4,7 +4,9 @@ Insert-only inputs with non-decreasing Vs; elements sharing a Vs appear in
 the *same deterministic order* on every input (e.g. rank order out of a
 Top-k aggregate).  Beyond MaxVs/MaxStable, one counter per input tracks how
 many elements each input has delivered at the current MaxVs; an input's
-element is new exactly when its counter ties the maximum.
+element is new exactly when its counter ties the maximum.  A detached
+input's counter still counts toward that maximum until MaxVs moves: the
+rows it delivered were output.
 
 O(s) time per insert (s = number of inputs), O(s) space.
 """
@@ -32,13 +34,16 @@ class LMergeR1(LMergeBase):
         super().__init__(**kwargs)
         self._max_vs: Timestamp = MINUS_INFINITY
         self._same_vs_count: Dict[StreamId, int] = {}
+        #: The highest count a detached input reached at the current MaxVs.
+        self._departed = 0
 
     def _on_attach(self, stream_id: StreamId) -> None:
         # A newly attached input has produced nothing at the current MaxVs.
         self._same_vs_count[stream_id] = 0
 
     def _on_detach(self, stream_id: StreamId) -> None:
-        self._same_vs_count.pop(stream_id, None)
+        count = self._same_vs_count.pop(stream_id, 0)
+        self._departed = max(self._departed, count)
 
     def _insert(self, element: Insert, stream_id: StreamId) -> None:
         # Algorithm R1, lines 4-10.
@@ -47,9 +52,10 @@ class LMergeR1(LMergeBase):
         if element.vs > self._max_vs:
             for key in self._same_vs_count:
                 self._same_vs_count[key] = 0
+            self._departed = 0
             self._max_vs = element.vs
         count = self._same_vs_count[stream_id]
-        if count == max(self._same_vs_count.values()):
+        if count >= self._departed and count == max(self._same_vs_count.values()):
             self._output_insert(element.payload, element.vs, element.ve)
         self._same_vs_count[stream_id] = count + 1
 
@@ -76,13 +82,15 @@ class LMergeR1(LMergeBase):
             # Only this stream's counter moves inside the zone, so its
             # k-th row is new iff own + k has caught the leading counter.
             own = counts[stream_id]
-            first = min(tie + max(counts.values()) - own, fresh)
+            lead = max(self._departed, max(counts.values()))
+            first = min(tie + lead - own, fresh)
             counts[stream_id] = own + fresh - tie
         if fresh < hi:
             # Every new Vs zeroes all counters, so the whole suffix is
             # new and only its last Vs group is still being counted.
             for key in counts:
                 counts[key] = 0
+            self._departed = 0
             counts[stream_id] = hi - bisect_left(vss, last, fresh, hi)
             self._max_vs = last
         if first < hi:
@@ -111,8 +119,13 @@ class LMergeR1(LMergeBase):
         return 16 + len(self._same_vs_count) * HASH_ENTRY_OVERHEAD
 
     def _snapshot_extra(self) -> dict:
-        return {"max_vs": self._max_vs, "counts": dict(self._same_vs_count)}
+        return {
+            "max_vs": self._max_vs,
+            "counts": dict(self._same_vs_count),
+            "departed": self._departed,
+        }
 
     def _restore_extra(self, extra: dict) -> None:
         self._max_vs = extra["max_vs"]
         self._same_vs_count = dict(extra["counts"])
+        self._departed = extra["departed"]

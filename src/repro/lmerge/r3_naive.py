@@ -118,6 +118,28 @@ class LMergeR3Naive(LMergeBase):
             total += TREE_NODE_OVERHEAD + payload_bytes(payload) + 2 * TIMESTAMP_BYTES
         return total
 
+    def _snapshot_extra(self) -> dict:
+        def rows(tree: RedBlackTree) -> list:
+            return [(key[0], payload, ve) for key, (payload, ve) in tree.items()]
+
+        return {
+            "inputs": {sid: rows(tree) for sid, tree in self._input_trees.items()},
+            "output": rows(self._output_tree),
+            "dropped_frozen": self.dropped_frozen,
+        }
+
+    def _restore_extra(self, extra: dict) -> None:
+        def tree(rows: list) -> RedBlackTree:
+            rebuilt = RedBlackTree()
+            for vs, payload, ve in rows:
+                rebuilt.insert(self._key(vs, payload), (payload, ve))
+            return rebuilt
+
+        # Detached inputs keep their trees too (a re-attach resumes them).
+        self._input_trees = {sid: tree(rows) for sid, rows in extra["inputs"].items()}
+        self._output_tree = tree(extra["output"])
+        self.dropped_frozen = extra["dropped_frozen"]
+
     @property
     def live_keys(self) -> int:
         return len(self._output_tree)

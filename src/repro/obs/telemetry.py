@@ -24,8 +24,8 @@ module makes worker telemetry *live*:
   the trace ids stamped at submit.
 * :class:`FlightRecorder` — a bounded in-worker ring of recent
   span/metric events, flushed to the worker's
-  :class:`~repro.resilience.store.StateStore` on checkpoint and idle
-  heartbeats.  When :class:`~repro.resilience.supervisor.SupervisedRuntime`
+  :class:`~repro.resilience.store.StateStore` after every applied
+  batch.  When :class:`~repro.resilience.supervisor.SupervisedRuntime`
   detects a crash it reads the victim's last flush into the
   :class:`~repro.resilience.supervisor.RecoveryRecord`, so a chaos-kill
   postmortem shows the victim's final batches.
@@ -310,10 +310,12 @@ class FlightRecorder:
     Cheap enough to stay always-on in supervised workers (one dict
     append per batch): crashes are exactly the runs where opt-in
     diagnostics would have been off.  The supervisor flushes the ring to
-    the worker's :class:`~repro.resilience.store.StateStore` at
-    checkpoint boundaries and on idle heartbeats (only when dirty), and
-    reads the victim's last flush into the
+    the worker's :class:`~repro.resilience.store.StateStore` after every
+    batch the worker applies (and, when dirty, at checkpoints, idle
+    heartbeats and close), and reads the victim's last flush into the
     :class:`~repro.resilience.supervisor.RecoveryRecord` after a crash.
+    A flush is at the OS when it returns, so a worker killed right after
+    batch *k* leaves a flight ending at batch *k*.
     """
 
     #: StateStore key the recorder flushes under.

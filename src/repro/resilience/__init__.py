@@ -5,13 +5,11 @@ physical source; this package makes the *merge process itself* crash
 recoverable:
 
 * :class:`~repro.resilience.store.StateStore` — a dependency-free
-  log-structured key/value store (append-only CRC'd segments, in-memory
-  keydir, torn-tail truncation, crash-safe compaction);
+  per-key store: two CRC'd slots per key, overwritten in turn, so a
+  crash tears at most the slot being written;
 * :func:`~repro.resilience.snapshot.save_snapshot` /
   :func:`~repro.resilience.snapshot.load_snapshot` — durable LMerge
   state snapshots (per-input frontiers, stats, In2T/In3T contents);
-* :class:`~repro.resilience.durable.DurableCheckpointLog` — the
-  ``repro.ha`` jumpstart checkpoints, persisted;
 * :class:`~repro.resilience.supervisor.SupervisedRuntime` — heartbeated,
   journaled shard workers with bounded restart-and-replay recovery;
 * :class:`~repro.resilience.faults.FaultPlan` and
@@ -21,7 +19,6 @@ recoverable:
 See docs/RESILIENCE.md for the full design.
 """
 
-from repro.resilience.durable import DurableCheckpointLog
 from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
 from repro.resilience.snapshot import (
     SNAPSHOT_KEY,
@@ -29,15 +26,14 @@ from repro.resilience.snapshot import (
     save_snapshot,
 )
 from repro.resilience.store import (
-    CorruptSegmentError,
+    CorruptStateError,
     StateStore,
     StateStoreError,
 )
 from repro.resilience.supervisor import RecoveryRecord, SupervisedRuntime
 
 __all__ = [
-    "CorruptSegmentError",
-    "DurableCheckpointLog",
+    "CorruptStateError",
     "FaultPlan",
     "KILL_EXIT_CODE",
     "RecoveryRecord",

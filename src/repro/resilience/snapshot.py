@@ -26,7 +26,7 @@ from repro.resilience.store import StateStore
 __all__ = ["SNAPSHOT_KEY", "save_snapshot", "load_snapshot"]
 
 #: Store key holding the latest worker snapshot.
-SNAPSHOT_KEY = b"snapshot"
+SNAPSHOT_KEY = "snapshot"
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -36,7 +36,7 @@ def save_snapshot(
 ) -> None:
     """Persist *merge*'s state at input position *applied_seq*.
 
-    The record is synced before return — once this function returns, a
+    The record is at the OS before return — once this function returns, a
     ``kill -9`` cannot lose the checkpoint.
     """
     record = {
@@ -45,7 +45,6 @@ def save_snapshot(
         "emitted": emitted,
     }
     store.put(SNAPSHOT_KEY, pickle.dumps(record, _PICKLE_PROTOCOL))
-    store.sync()
 
 
 def load_snapshot(store: StateStore) -> Optional[Tuple[dict, int, int]]:

@@ -1,416 +1,100 @@
-"""A pure-python log-structured key/value store for durable merge state.
+"""Durable per-key values: two checksummed slots per key.
 
-The shape is bitcask's (and the spine of the RocksDB-backed
-``WindowedTransactionState`` exemplar, minus the dependency): writes are
-appends to a segment file, reads are one seek through an in-memory index,
-and space is reclaimed by compaction — rewriting only the live records
-into a fresh segment and unlinking the old ones.  Crash safety comes from
-the format, not from locks:
-
-* every record carries a CRC32 over its header and body, so a torn write
-  (the process was killed mid-append) is detected on reopen and the
-  segment is truncated back to its last whole record;
-* a key's latest record wins; reopen scans segments in id order, so a
-  crash *during* compaction (new segment written, old ones not yet
-  removed) resolves itself — the compacted segment has the highest id
-  and its records shadow the stale ones;
-* deletes are tombstone records, removed for good by the next compaction.
-
-Record layout (little-endian)::
-
-    <u32 crc> <u8 kind> <u16 keylen> <u32 vallen> <key bytes> <value bytes>
-
-The in-memory index maps each *live* key to its latest record's location
-— sparse over the log (dead and shadowed records are not indexed), O(1)
-per lookup.  Callers that need durability beyond process death (power
-loss) construct with ``fsync=True``; the default flushes to the OS on
-:meth:`StateStore.sync`, which survives ``kill -9`` of the writer.
-
-Single-writer by design: one process owns a store directory at a time
-(each supervised shard worker opens its own).  No dependencies beyond
-the standard library.
+Key ``k`` lives in files ``k.0`` and ``k.1``, one record each:
+``<u64 seq><u32 len><u32 crc32><body>``, the CRC over seq, len and body.
+``put`` overwrites the slot not holding the newest valid record, so a crash
+tears at most that slot; ``get`` returns the valid slot with the higher seq.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 import zlib
-from typing import Dict, Iterator, Optional, Tuple, Union
+from contextlib import AbstractContextManager
+from typing import Dict, Optional, Tuple
 
-__all__ = ["StateStore", "StateStoreError", "CorruptSegmentError"]
+__all__ = ["StateStore", "StateStoreError", "CorruptStateError"]
 
-_HEADER = struct.Struct("<IBHI")
-_PUT = 1
-_TOMBSTONE = 2
-
-_SEGMENT_PREFIX = "seg-"
-_SEGMENT_SUFFIX = ".log"
-
-Key = Union[str, bytes]
+_HEAD = struct.Struct("<QII")  # seq, len, crc32 of the 12 bytes before it + body
+_KEY = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class StateStoreError(RuntimeError):
-    """Base error for state-store failures."""
+    """A state-store failure."""
 
 
-class CorruptSegmentError(StateStoreError):
-    """A non-tail record failed its CRC check — the log is damaged in a
-    way torn-write truncation cannot explain."""
+class CorruptStateError(StateStoreError):
+    """Both slots of a key failed their check: a crash tears one at most."""
 
 
-def _as_bytes(key: Key) -> bytes:
-    return key.encode("utf-8") if isinstance(key, str) else bytes(key)
+def _record(path: str) -> Optional[Tuple[int, Optional[bytes]]]:
+    """A slot's ``(seq, body)``, ``(0, None)`` if absent, None if torn."""
+    if not os.path.exists(path):
+        return 0, None
+    with open(path, "rb") as handle:
+        image = handle.read()
+    if len(image) >= _HEAD.size:
+        seq, size, crc = _HEAD.unpack_from(image)
+        body = image[_HEAD.size : _HEAD.size + size]
+        if len(body) == size and zlib.crc32(body, zlib.crc32(image[:12])) == crc:
+            return seq, body
+    return None
 
 
-def _segment_path(directory: str, segment_id: int) -> str:
-    return os.path.join(
-        directory, f"{_SEGMENT_PREFIX}{segment_id:08d}{_SEGMENT_SUFFIX}"
-    )
+class StateStore(AbstractContextManager):
+    """Whole byte values under ``[A-Za-z0-9_-]+`` keys; one writer each."""
 
-
-def _segment_id(filename: str) -> Optional[int]:
-    if not (
-        filename.startswith(_SEGMENT_PREFIX)
-        and filename.endswith(_SEGMENT_SUFFIX)
-    ):
-        return None
-    middle = filename[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-    try:
-        return int(middle)
-    except ValueError:
-        return None
-
-
-class StateStore:
-    """An append-only segmented key/value store with an in-memory index.
-
-    ::
-
-        store = StateStore("/var/lib/merge/shard-0")
-        store.put("snapshot", blob)
-        store.sync()
-        ...
-        store = StateStore("/var/lib/merge/shard-0")   # after kill -9
-        blob = store.get("snapshot")                   # identical bytes
-
-    *segment_bytes* caps a segment before rotation; *fsync* adds an
-    ``os.fsync`` to :meth:`sync` (power-loss durability).  When a
-    :class:`~repro.obs.registry.MetricRegistry` is supplied, the store
-    keeps a ``state_store_bytes`` gauge current (labelled with *name*).
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        *,
-        segment_bytes: int = 4 << 20,
-        fsync: bool = False,
-        registry=None,
-        name: str = "store",
-    ):
-        if segment_bytes < 4096:
-            raise ValueError("segment_bytes must be at least 4096")
-        self.directory = directory
-        self.segment_bytes = segment_bytes
-        self.fsync = fsync
-        self.registry = registry
-        self.name = name
-        #: Bytes of records truncated from the tail on open (torn writes).
-        self.truncated_bytes = 0
+    def __init__(self, directory: str, *, fsync: bool = False):
+        self.directory, self.fsync = directory, fsync
         os.makedirs(directory, exist_ok=True)
-        # key -> (segment_id, value_offset, value_length)
-        self._index: Dict[bytes, Tuple[int, int, int]] = {}
-        # Per-segment byte totals, for live/dead accounting.
-        self._segment_sizes: Dict[int, int] = {}
-        self._live_bytes = 0
-        self._readers: Dict[int, object] = {}
-        self._closed = False
-        self._replay()
-        self._active_id = max(self._segment_sizes, default=0) or 1
-        self._active = open(_segment_path(directory, self._active_id), "ab")
-        self._segment_sizes.setdefault(self._active_id, 0)
-        self._gauge()
+        self._newest: Dict[str, Tuple[int, int]] = {}  # key -> (seq, slot)
+        self._fds: Optional[Dict[str, int]] = {}  # path -> descriptor
+        if fsync:  # new slot files' directory entries are synced through it
+            self._fds[directory] = os.open(directory, os.O_RDONLY)
 
-    # ------------------------------------------------------------------
-    # Open-time replay
-    # ------------------------------------------------------------------
+    def get(self, key: str) -> Optional[bytes]:
+        """The newest value under *key*; None if never (wholly) written."""
+        if self._fds is None:
+            raise StateStoreError("state store is closed")
+        if not isinstance(key, str) or not _KEY.fullmatch(key):
+            raise ValueError(f"store keys must match [A-Za-z0-9_-]+: {key!r}")
+        slots = [_record(os.path.join(self.directory, f"{key}.{i}")) for i in (0, 1)]
+        if slots == [None, None]:
+            raise CorruptStateError(f"both slots of {key!r} are damaged")
+        self._newest[key] = max((s[0], i) for i, s in enumerate(slots) if s)
+        return slots[self._newest[key][1]][1]
 
-    def _replay(self) -> None:
-        """Rebuild the index by scanning every segment in id order."""
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:  # pragma: no cover - directory created above
-            return
-        segment_ids = sorted(
-            sid for sid in (_segment_id(n) for n in names) if sid is not None
-        )
-        last = segment_ids[-1] if segment_ids else None
-        for sid in segment_ids:
-            self._replay_segment(sid, tolerate_tail=(sid == last))
-
-    def _replay_segment(self, sid: int, tolerate_tail: bool) -> None:
-        path = _segment_path(self.directory, sid)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        total = len(data)
-        good = 0
-        while offset < total:
-            record = self._parse_record(data, offset)
-            if record is None:
-                if tolerate_tail:
-                    # Torn tail from a crash mid-append: cut it off so the
-                    # next append starts at a whole-record boundary.
-                    self.truncated_bytes += total - offset
-                    with open(path, "ab") as handle:
-                        handle.truncate(good)
-                    break
-                raise CorruptSegmentError(
-                    f"corrupt record at {path}:{offset} "
-                    f"(mid-log damage, not a torn tail)"
-                )
-            kind, key, value_offset, value_length, record_length = record
-            self._note_record(sid, kind, key, value_offset, value_length)
-            offset += record_length
-            good = offset
-        self._segment_sizes[sid] = good
-
-    @staticmethod
-    def _parse_record(
-        data: bytes, offset: int
-    ) -> Optional[Tuple[int, bytes, int, int, int]]:
-        """Parse one record; None when truncated or CRC-damaged."""
-        end = offset + _HEADER.size
-        if end > len(data):
-            return None
-        crc, kind, key_length, value_length = _HEADER.unpack_from(data, offset)
-        body_end = end + key_length + value_length
-        if kind not in (_PUT, _TOMBSTONE) or body_end > len(data):
-            return None
-        if zlib.crc32(data[offset + 4 : body_end]) != crc:
-            return None
-        key = data[end : end + key_length]
-        return (
-            kind,
-            key,
-            end + key_length,
-            value_length,
-            _HEADER.size + key_length + value_length,
-        )
-
-    def _note_record(
-        self, sid: int, kind: int, key: bytes, value_offset: int, value_length: int
-    ) -> None:
-        """Index maintenance shared by replay and live appends."""
-        previous = self._index.get(key)
-        if previous is not None:
-            self._live_bytes -= previous[2]
-        if kind == _PUT:
-            self._index[key] = (sid, value_offset, value_length)
-            self._live_bytes += value_length
-        else:
-            self._index.pop(key, None)
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-
-    def get(self, key: Key) -> Optional[bytes]:
-        """The latest value for *key*, or None."""
-        self._require_open()
-        entry = self._index.get(_as_bytes(key))
-        if entry is None:
-            return None
-        sid, value_offset, value_length = entry
-        if sid == self._active_id:
-            self._active.flush()
-        reader = self._readers.get(sid)
-        if reader is None:
-            reader = open(_segment_path(self.directory, sid), "rb")
-            self._readers[sid] = reader
-        reader.seek(value_offset)
-        return reader.read(value_length)
-
-    def __contains__(self, key: Key) -> bool:
-        return _as_bytes(key) in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def keys(self) -> Iterator[bytes]:
-        return iter(sorted(self._index))
-
-    def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        for key in self.keys():
-            value = self.get(key)
-            assert value is not None
-            yield key, value
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-
-    def put(self, key: Key, value: bytes) -> None:
-        """Record ``key -> value`` (append + index update)."""
-        self._append(_PUT, _as_bytes(key), bytes(value))
-
-    def delete(self, key: Key) -> None:
-        """Remove *key* (a tombstone append; reclaimed by compaction)."""
-        raw = _as_bytes(key)
-        if raw in self._index:
-            self._append(_TOMBSTONE, raw, b"")
-
-    def _append(self, kind: int, key: bytes, value: bytes) -> None:
-        self._require_open()
-        if len(key) > 0xFFFF:
-            raise ValueError("key exceeds 65535 bytes")
-        body = _HEADER.pack(0, kind, len(key), len(value))[4:] + key + value
-        record = struct.pack("<I", zlib.crc32(body)) + body
-        base = self._segment_sizes[self._active_id]
-        self._active.write(record)
-        self._note_record(
-            self._active_id,
-            kind,
-            key,
-            base + _HEADER.size + len(key),
-            len(value),
-        )
-        self._segment_sizes[self._active_id] = base + len(record)
-        if self._segment_sizes[self._active_id] >= self.segment_bytes:
-            self.rotate()
-        self._gauge()
-
-    def sync(self) -> None:
-        """Flush the active segment to the OS (and to disk with
-        ``fsync=True``).  After ``sync`` returns, the data survives a
-        ``kill -9`` of this process."""
-        self._require_open()
-        self._active.flush()
+    def put(self, key: str, value: bytes) -> None:
+        """Store *value* under *key*.  It is at the OS on return (survives
+        ``kill -9``); *fsync* also syncs slot and directory (power loss)."""
+        if self._fds is None or key not in self._newest:
+            self.get(key)  # checks the store and the key, finds the slots
+        seq, slot = self._newest[key]
+        path = os.path.join(self.directory, f"{key}.{1 - slot}")
+        fd = self._fds.get(path)
+        if fd is None:
+            fd = self._fds[path] = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            if self.fsync:  # the slot file's directory entry, once per open
+                os.fsync(self._fds[self.directory])
+        head = struct.pack("<QI", seq + 1, len(value))
+        record = head + struct.pack("<I", zlib.crc32(value, zlib.crc32(head))) + value
+        os.pwrite(fd, record, 0)
+        os.ftruncate(fd, len(record))
         if self.fsync:
-            os.fsync(self._active.fileno())
-
-    def rotate(self) -> None:
-        """Seal the active segment and start a new one."""
-        self._require_open()
-        self._active.flush()
-        self._active.close()
-        self._readers.pop(self._active_id, None)
-        self._active_id += 1
-        self._active = open(
-            _segment_path(self.directory, self._active_id), "ab"
-        )
-        self._segment_sizes[self._active_id] = 0
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-
-    def compact(self) -> int:
-        """Rewrite live records into a fresh segment; drop the rest.
-
-        Returns the bytes reclaimed.  Crash-safe without a manifest: the
-        new segment is flushed before the old ones are unlinked, and its
-        higher id means a reopen that still sees stale segments resolves
-        every key to the compacted copy.  Intended to run at CTI
-        boundaries — once a checkpoint at stable point *t* lands, every
-        earlier checkpoint record is shadowed and compaction makes their
-        space free.
-        """
-        self._require_open()
-        before = self.total_bytes
-        old_ids = list(self._segment_sizes)
-        live = [(key, self.get(key)) for key in sorted(self._index)]
-        for reader in self._readers.values():
-            reader.close()
-        self._readers.clear()
-        self._active.flush()
-        self._active.close()
-        new_id = self._active_id + 1
-        self._index.clear()
-        self._segment_sizes = {new_id: 0}
-        self._live_bytes = 0
-        self._active_id = new_id
-        self._active = open(_segment_path(self.directory, new_id), "ab")
-        for key, value in live:
-            assert value is not None
-            self._append(_PUT, key, value)
-        self._active.flush()
-        if self.fsync:
-            os.fsync(self._active.fileno())
-        for sid in old_ids:
-            if sid != new_id:
-                try:
-                    os.unlink(_segment_path(self.directory, sid))
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-        self._gauge()
-        return before - self.total_bytes
-
-    def maybe_compact(self, min_dead_bytes: int = 1 << 20) -> int:
-        """Compact when at least *min_dead_bytes* are reclaimable."""
-        if self.dead_bytes >= min_dead_bytes:
-            return self.compact()
-        return 0
-
-    # ------------------------------------------------------------------
-    # Accounting & lifecycle
-    # ------------------------------------------------------------------
+            os.fsync(fd)
+        self._newest[key] = (seq + 1, 1 - slot)
 
     @property
     def total_bytes(self) -> int:
-        """Bytes currently on disk across all segments."""
-        return sum(self._segment_sizes.values())
-
-    @property
-    def live_bytes(self) -> int:
-        """Value bytes reachable through the index."""
-        return self._live_bytes
-
-    @property
-    def dead_bytes(self) -> int:
-        """Bytes a compaction would reclaim (shadowed records, headers
-        of dead records, tombstones)."""
-        overhead = len(self._index) * _HEADER.size
-        return max(0, self.total_bytes - self._live_bytes - overhead)
-
-    @property
-    def segments(self) -> int:
-        return len(self._segment_sizes)
-
-    def _gauge(self) -> None:
-        if self.registry is not None:
-            self.registry.gauge(
-                "state_store_bytes", {"store": self.name}
-            ).set(self.total_bytes)
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise StateStoreError("state store is closed")
+        """Bytes on disk across every slot file (``state_store_bytes``)."""
+        return sum(entry.stat().st_size for entry in os.scandir(self.directory))
 
     def close(self) -> None:
-        """Flush and release file handles (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._active.flush()
-            if self.fsync:
-                os.fsync(self._active.fileno())
-        finally:
-            self._active.close()
-            for reader in self._readers.values():
-                reader.close()
-            self._readers.clear()
-
-    def __enter__(self) -> "StateStore":
-        return self
+        for fd in (self._fds or {}).values():
+            os.close(fd)
+        self._fds = None
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<StateStore {self.directory!r} keys={len(self._index)} "
-            f"bytes={self.total_bytes}>"
-        )

@@ -14,9 +14,9 @@ failure) — in two halves:
   :class:`~repro.resilience.store.StateStore`, keeps the flight
   recorder, fires the fault sites, and says when to checkpoint —
   preferentially right after the merge's stable frontier (CTI)
-  advances, so checkpoints sit at CTI boundaries and the store compacts
-  there.  A worker that has one also **heartbeats** (``HB`` frames when
-  idle and after every batch);
+  advances, so checkpoints sit at CTI boundaries.  A worker that has
+  one also **heartbeats** (``HB`` frames when idle and after every
+  batch);
 * :class:`SupervisedRuntime`, the driver, retains every numbered frame
   in an in-memory **journal** until the worker acknowledges a durable
   checkpoint covering it, detects death three ways —
@@ -63,7 +63,7 @@ from repro.engine.shm import RingClosedError
 from repro.obs.telemetry import FlightRecorder, make_trace_id
 from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
 from repro.resilience.snapshot import load_snapshot, save_snapshot
-from repro.resilience.store import StateStore
+from repro.resilience.store import StateStore, StateStoreError
 
 __all__ = ["SupervisedRuntime", "RecoveryRecord"]
 
@@ -149,9 +149,7 @@ class _WorkerSupervision:
         ``(applied_seq, emitted)``."""
         self.shard = shard
         self.merge = merge
-        self.store = StateStore(
-            self.store_dir, fsync=self.fsync, name=f"shard-{shard}"
-        )
+        self.store = StateStore(self.store_dir, fsync=self.fsync)
         # Always-on flight recorder: crashes are exactly the runs where
         # opt-in diagnostics would have been off, and the per-batch cost
         # is one dict append.
@@ -208,7 +206,6 @@ class _WorkerSupervision:
         """Make the merge's state durable; returns the store's size."""
         save_snapshot(self.store, self.merge, applied_seq, emitted)
         self.flight.flush(self.store)
-        self.store.maybe_compact(min_dead_bytes=64 << 10)
         self._batches_since_ckpt = 0
         self._last_ckpt_stable = self.merge.max_stable
         return self.store.total_bytes
@@ -266,7 +263,7 @@ class SupervisedRuntime(ParallelRuntime):
         )
         self.durable_dir = durable_dir
         self.fault_plan = fault_plan
-        #: ``os.fsync`` on every store sync: off survives a worker crash,
+        #: ``os.fsync`` on every store write: off survives a worker crash,
         #: on also survives power loss.
         self.fsync = fsync
         #: Completed recoveries, for introspection and chaos reports.
@@ -372,14 +369,9 @@ class SupervisedRuntime(ParallelRuntime):
         it after this read.
         """
         try:
-            store = StateStore(
-                self._store_dir(shard), fsync=False, name=f"flight-{shard}"
-            )
-            try:
+            with StateStore(self._store_dir(shard)) as store:
                 return FlightRecorder.read(store)
-            finally:
-                store.close()
-        except Exception:  # pragma: no cover - no store yet / torn dir
+        except (OSError, StateStoreError):  # pragma: no cover - damaged slots
             return []
 
     def _recover(self, shard: int) -> None:

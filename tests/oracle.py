@@ -25,7 +25,6 @@ import pytest
 
 from repro.engine.columnar import ColumnBatch
 from repro.lmerge import (
-    LMergeBase,
     LMergeR0,
     LMergeR1,
     LMergeR2,
@@ -221,8 +220,8 @@ def script(
     where it stopped with the current output stable as its guarantee, or
     past a lost backlog with an infinite one (it may then drive progress
     but vouches for nothing).  Without *lead* a replica leaves only from
-    at or behind the anchor: LMR1 drops a departed input's same-Vs count,
-    so one that leads the current group takes its high-water mark along.
+    at or behind the anchor, never while it leads a same-Vs group: the
+    script the LMR1 cells of ``DIGESTS`` were recorded on.
     """
     rng = random.Random(seed)
     sizes = cycle(batches)
@@ -326,19 +325,13 @@ def apply(merge, step, feed, fresh):
     elif kind == "detach":
         merge.detach(step[1])
     elif kind == "snapshot":
-        if fresh is not None and restorable(merge):
+        if fresh is not None:
             state = pickle.loads(pickle.dumps(merge.snapshot_state()))
             merge = fresh()
             merge.restore_state(state)
     else:
         feed(merge, step[2], step[1])
     return merge
-
-
-def restorable(merge):
-    """Whether *merge*'s snapshot carries its state.  LMR3- keeps
-    per-input indexes but has no snapshot hooks, so the step skips it."""
-    return type(merge)._snapshot_extra is not LMergeBase._snapshot_extra
 
 
 def run(make, steps, path="process", policy="none", snapshots=True, watch=()):
@@ -440,12 +433,13 @@ def check(
     LMR4 keeps step with FullVisitR4.  *digests* is an expected
     ``(elements, sha256 prefix)``: it pins the output to one known to
     conform, so the conformance walk and the run without the snapshot
-    step, which the hypothesis suites make, are skipped.  *make*
-    replaces the class.
+    step, which the hypothesis suites make, are skipped, and an LMR1
+    script is the one its digest was recorded on (no leader leaves).
+    *make* replaces the class.
     """
     make = make or VARIANTS[variant]
     case = scenario(variant, shape, seed)
-    lead = make().restriction is not Restriction.R1
+    lead = not digests or make().restriction is not Restriction.R1
     steps = script(case.replicas, seed, batches, roster, recover, lead)
     r4 = variant == "LMR4"
     # C1-C3 presume the key property, which R4's duplicate inserts break.

@@ -116,6 +116,28 @@ class TestR1:
         merge.detach(2)
         assert merge.memory_bytes() < attach(LMergeR1(), n=3).memory_bytes() + 64
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_detached_leader_keeps_its_high_water_mark(self, batched):
+        """The leader of a same-Vs group leaves mid-group: the rows it
+        delivered were output, so the follower's copies of them are not
+        new, and only rows past the departed count are."""
+        merge = attach(LMergeR1())
+
+        def feed(payloads, stream_id, vs=1):
+            run = [Insert(p, vs, 10) for p in payloads]
+            if batched:
+                merge.process_batch(run, stream_id)
+            else:
+                for element in run:
+                    merge.process(element, stream_id)
+
+        feed("abc", 0)
+        feed("a", 1)
+        merge.detach(0)
+        feed("bcd", 1)
+        feed("e", 1, vs=2)  # a new Vs forgets the departed count
+        assert [e.payload for e in merge.output.data_elements()] == list("abcde")
+
     def test_equivalence_on_topk_like_workload(self):
         """Same-Vs batches in identical (rank) order across streams."""
         elements = []

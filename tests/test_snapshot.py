@@ -1,10 +1,10 @@
 """Merge state snapshot/restore: the worker-side half of crash recovery.
 
 Every oracle script (``oracle.py``) carries a snapshot step — snapshot,
-pickle, restore into a fresh instance — and every variant R0-R4 must
-continue element-identically to a run without it.  This file adds the
-in-memory handover, the persistence path through a killed-and-reopened
-``StateStore`` and the restore contract.
+pickle, restore into a fresh instance — and every variant (R0-R4 and
+LMR3-) must continue element-identically to a run without it.  This file
+adds the in-memory handover, the persistence path through a
+killed-and-reopened ``StateStore`` and the restore contract.
 """
 
 import pickle
@@ -15,6 +15,7 @@ from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
 from repro.lmerge.r3 import LMergeR3
+from repro.lmerge.r3_naive import LMergeR3Naive
 from repro.lmerge.r4 import LMergeR4
 from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.resilience.store import StateStore
@@ -22,7 +23,7 @@ from repro.structures.in2t import OUTPUT
 
 from oracle import FEEDS, apply, run, scenario, script
 
-ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR4]
+ALL_VARIANTS = [LMergeR0, LMergeR1, LMergeR2, LMergeR3, LMergeR3Naive, LMergeR4]
 
 
 def assert_resumes_identically(variant, handover):

@@ -1,10 +1,9 @@
-"""StateStore: the log-structured store under the durable merge state.
+"""StateStore: two checksummed slots per key under the durable merge state.
 
-Covers the crash-safety story record by record: CRC'd appends, last
-record wins across reopen, torn-tail truncation (a kill mid-append),
-mid-log corruption detection, segment rotation, compaction (including a
-simulated crash *during* compaction, resolved by segment-id shadowing),
-tombstones, and the ``state_store_bytes`` gauge.
+Covers the crash-safety story slot by slot: a write torn or garbled at
+any byte falls back to the previous value, a torn first write reads as
+absent, two damaged slots raise, and a writer killed with ``os._exit``
+(no close, no flush) leaves its last ``put`` on disk.
 """
 
 import os
@@ -12,46 +11,44 @@ import pickle
 
 import pytest
 
-from repro.obs.registry import MetricRegistry
-from repro.resilience.store import (
-    CorruptSegmentError,
-    StateStore,
-    StateStoreError,
-    _segment_path,
-)
+from repro.resilience.store import CorruptStateError, StateStore, StateStoreError
+
+HEADER = 16  # <u64 seq><u32 len><u32 crc32>
+
+
+def slot(tmp_path, key, index):
+    return tmp_path / f"{key}.{index}"
 
 
 def test_put_get_round_trip(tmp_path):
     with StateStore(str(tmp_path)) as store:
         store.put("alpha", b"one")
-        store.put(b"beta", b"two")
+        store.put("beta_2", b"two")
+        store.put("empty-value", b"")
         assert store.get("alpha") == b"one"
-        assert store.get(b"beta") == b"two"
+        assert store.get("beta_2") == b"two"
+        assert store.get("empty-value") == b""
         assert store.get("missing") is None
-        assert "alpha" in store
-        assert len(store) == 2
-        assert list(store.keys()) == [b"alpha", b"beta"]
 
 
 def test_last_record_wins_across_reopen(tmp_path):
     store = StateStore(str(tmp_path))
     for value in (b"v1", b"v2", b"v3"):
         store.put("key", value)
-    store.sync()
     store.close()
     with StateStore(str(tmp_path)) as reopened:
         assert reopened.get("key") == b"v3"
-        assert len(reopened) == 1
+        reopened.put("key", b"v4")  # continues the sequence
+    with StateStore(str(tmp_path)) as again:
+        assert again.get("key") == b"v4"
 
 
 def test_kill_and_reopen_without_close(tmp_path):
-    """After sync(), a second open over the same directory sees the
-    identical index even though the writer never closed — the kill -9
-    contract."""
+    """A second open over the same directory sees every put even though
+    the writer never closed — the kill -9 contract."""
     writer = StateStore(str(tmp_path))
     writer.put("snapshot", pickle.dumps({"state": [1, 2, 3]}))
     writer.put("extra", b"x" * 100)
-    writer.sync()
     reader = StateStore(str(tmp_path))
     assert pickle.loads(reader.get("snapshot")) == {"state": [1, 2, 3]}
     assert reader.get("extra") == b"x" * 100
@@ -59,127 +56,126 @@ def test_kill_and_reopen_without_close(tmp_path):
     writer.close()
 
 
-def test_tombstones_survive_reopen(tmp_path):
-    store = StateStore(str(tmp_path))
-    store.put("keep", b"yes")
-    store.put("drop", b"no")
-    store.delete("drop")
-    store.delete("never-existed")  # no-op, no tombstone
-    store.sync()
-    store.close()
+@pytest.mark.parametrize("puts", [1, 2, 7])
+def test_killed_writer_keeps_its_last_put(tmp_path, puts):
+    """A forked writer that puts N values and dies by ``os._exit`` (no
+    flush, no close: what a fault-plan kill does) reopens to put N."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        code = 1
+        try:
+            store = StateStore(str(tmp_path))
+            for n in range(1, puts + 1):
+                store.put("flight", f"batch-{n}".encode() * 40)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     with StateStore(str(tmp_path)) as reopened:
-        assert reopened.get("keep") == b"yes"
-        assert reopened.get("drop") is None
-        assert len(reopened) == 1
+        assert reopened.get("flight") == f"batch-{puts}".encode() * 40
 
 
-def test_torn_tail_is_truncated_on_reopen(tmp_path):
-    store = StateStore(str(tmp_path))
-    store.put("whole", b"record")
-    store.sync()
-    path = _segment_path(str(tmp_path), store._active_id)
-    store.close()
-    with open(path, "ab") as handle:
-        handle.write(b"\x01\x02torn-partial-append")
-    with StateStore(str(tmp_path)) as reopened:
-        assert reopened.truncated_bytes > 0
-        assert reopened.get("whole") == b"record"
-        # The next append lands on a whole-record boundary.
-        reopened.put("after", b"ok")
-        reopened.sync()
-    with StateStore(str(tmp_path)) as again:
-        assert again.get("whole") == b"record"
-        assert again.get("after") == b"ok"
-        assert again.truncated_bytes == 0
-
-
-def test_mid_log_corruption_raises(tmp_path):
-    store = StateStore(str(tmp_path))
-    store.put("early", b"x" * 64)
-    store.rotate()  # seal segment 1; damage there is NOT a torn tail
-    store.put("late", b"y" * 64)
-    store.sync()
-    first = _segment_path(str(tmp_path), 1)
-    store.close()
-    with open(first, "r+b") as handle:
-        handle.seek(10)
-        handle.write(b"\xff\xff\xff")
-    with pytest.raises(CorruptSegmentError):
-        StateStore(str(tmp_path))
-
-
-def test_rotation_splits_segments(tmp_path):
-    with StateStore(str(tmp_path), segment_bytes=4096) as store:
-        for i in range(40):
-            store.put(f"key-{i}", bytes(256))
-        assert store.segments > 1
-        for i in range(40):
-            assert store.get(f"key-{i}") == bytes(256)
-
-
-def test_compaction_reclaims_and_preserves(tmp_path):
-    store = StateStore(str(tmp_path))
-    for round_ in range(20):
-        store.put("hot", bytes([round_]) * 512)
-    store.put("cold", b"untouched")
-    store.delete("hot2") if "hot2" in store else store.put("hot2", b"dead")
-    store.delete("hot2")
-    store.sync()
-    before = store.total_bytes
-    reclaimed = store.compact()
-    assert reclaimed > 0
-    assert store.total_bytes < before
-    assert store.get("hot") == bytes([19]) * 512
-    assert store.get("cold") == b"untouched"
-    assert store.get("hot2") is None
-    store.close()
-    with StateStore(str(tmp_path)) as reopened:
-        assert reopened.get("hot") == bytes([19]) * 512
-        assert reopened.get("cold") == b"untouched"
-
-
-def test_crash_mid_compaction_resolves_by_segment_id(tmp_path):
-    """A reopen that sees both the stale segments and the compacted one
-    (crash after the new segment flushed, before the unlinks) must
-    resolve every key to the compacted copy — higher id wins."""
-    store = StateStore(str(tmp_path))
-    store.put("key", b"old")
-    store.sync()
-    stale = _segment_path(str(tmp_path), store._active_id)
-    with open(stale, "rb") as handle:
-        stale_bytes = handle.read()
-    store.put("key", b"new")
-    store.sync()
-    store.compact()
-    store.close()
-    # Resurrect the pre-compaction segment under its old (lower) id.
-    with open(_segment_path(str(tmp_path), 1), "wb") as handle:
-        handle.write(stale_bytes)
-    with StateStore(str(tmp_path)) as reopened:
-        assert reopened.get("key") == b"new"
-
-
-def test_maybe_compact_thresholds(tmp_path):
+def committed_then_second(tmp_path):
+    """Commit v1, write v2 and return v2's slot image (the slot the
+    second put landed in, which a crash mid-put would have torn)."""
     with StateStore(str(tmp_path)) as store:
-        store.put("a", b"x" * 100)
-        assert store.maybe_compact(min_dead_bytes=1 << 20) == 0
-        for _ in range(50):
-            store.put("a", b"y" * 100)
-        assert store.dead_bytes > 1000
-        assert store.maybe_compact(min_dead_bytes=1000) > 0
-        assert store.get("a") == b"y" * 100
+        store.put("key", b"v1" * 50)
+        store.put("key", b"v2" * 50)
+    image = slot(tmp_path, "key", 1).read_bytes()
+    assert len(image) == HEADER + 100
+    return image
 
 
-def test_accounting_and_gauge(tmp_path):
-    registry = MetricRegistry()
-    with StateStore(
-        str(tmp_path), registry=registry, name="shard-7"
-    ) as store:
+OFFSETS = {
+    "start": 0,
+    "header-1": HEADER - 1,
+    "header": HEADER,
+    "mid-body": HEADER + 50,
+    "end-1": HEADER + 99,
+}
+
+
+@pytest.mark.parametrize("damage", ["cut", "garble"])
+@pytest.mark.parametrize("offset", OFFSETS.values(), ids=OFFSETS.keys())
+def test_torn_second_write_reopens_to_first(tmp_path, damage, offset):
+    image = committed_then_second(tmp_path)
+    if damage == "cut":
+        torn = image[:offset]
+    else:
+        torn = image[:offset] + bytes([image[offset] ^ 0xFF]) + image[offset + 1 :]
+    slot(tmp_path, "key", 1).write_bytes(torn)
+    with StateStore(str(tmp_path)) as reopened:
+        assert reopened.get("key") == b"v1" * 50
+        # The next put overwrites the torn slot, never the good one.
+        reopened.put("key", b"v3")
+        assert slot(tmp_path, "key", 0).read_bytes().endswith(b"v1" * 50)
+    with StateStore(str(tmp_path)) as again:
+        assert again.get("key") == b"v3"
+
+
+def test_complete_second_write_reopens_to_it(tmp_path):
+    image = committed_then_second(tmp_path)
+    slot(tmp_path, "key", 1).write_bytes(image)
+    with StateStore(str(tmp_path)) as reopened:
+        assert reopened.get("key") == b"v2" * 50
+
+
+@pytest.mark.parametrize("offset", [0, HEADER - 1, HEADER + 3])
+def test_torn_first_write_reads_none(tmp_path, offset):
+    with StateStore(str(tmp_path)) as store:
+        store.put("key", b"first" * 10)
+    path = slot(tmp_path, "key", 0)
+    path.write_bytes(path.read_bytes()[:offset])
+    assert not slot(tmp_path, "key", 1).exists()
+    with StateStore(str(tmp_path)) as reopened:
+        assert reopened.get("key") is None
+        reopened.put("key", b"again")
+    with StateStore(str(tmp_path)) as again:
+        assert again.get("key") == b"again"
+
+
+def test_two_bad_slots_raise(tmp_path):
+    committed_then_second(tmp_path)
+    for index in (0, 1):
+        path = slot(tmp_path, "key", index)
+        image = bytearray(path.read_bytes())
+        image[HEADER + 1] ^= 0xFF
+        path.write_bytes(bytes(image))
+    with StateStore(str(tmp_path)) as reopened:
+        with pytest.raises(CorruptStateError):
+            reopened.get("key")
+        with pytest.raises(CorruptStateError):
+            reopened.put("key", b"v3")
+
+
+@pytest.mark.parametrize("key", ["", "a/b", "../up", "key.0", "sp ace", b"raw"])
+def test_keys_must_be_file_names(tmp_path, key):
+    with StateStore(str(tmp_path)) as store:
+        with pytest.raises(ValueError):
+            store.put(key, b"v")
+        with pytest.raises(ValueError):
+            store.get(key)
+
+
+def test_total_bytes_counts_both_slots(tmp_path):
+    with StateStore(str(tmp_path)) as store:
+        assert store.total_bytes == 0
         store.put("k", b"v" * 64)
-        assert store.live_bytes == 64
-        assert store.total_bytes > 64
-        gauge = registry.gauge("state_store_bytes", {"store": "shard-7"})
-        assert gauge.value == store.total_bytes
+        assert store.total_bytes == HEADER + 64
+        store.put("k", b"w" * 10)  # second slot
+        assert store.total_bytes == 2 * HEADER + 74
+        store.put("k", b"x" * 8)  # overwrites and truncates the first
+        assert store.total_bytes == 2 * HEADER + 18
+        assert sorted(os.listdir(tmp_path)) == ["k.0", "k.1"]
+
+
+def test_fsync_store_round_trip(tmp_path):
+    with StateStore(str(tmp_path), fsync=True) as store:
+        for n in range(3):
+            store.put("snapshot", bytes([n]) * 32)
+    with StateStore(str(tmp_path), fsync=True) as reopened:
+        assert reopened.get("snapshot") == bytes([2]) * 32
 
 
 def test_closed_store_refuses_io(tmp_path):
@@ -195,7 +191,7 @@ def test_closed_store_refuses_io(tmp_path):
 
 def test_large_values_round_trip(tmp_path):
     blob = os.urandom(300_000)
-    with StateStore(str(tmp_path), segment_bytes=65536) as store:
+    with StateStore(str(tmp_path)) as store:
         store.put("big", blob)
         assert store.get("big") == blob
     with StateStore(str(tmp_path)) as reopened:

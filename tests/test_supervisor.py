@@ -72,6 +72,18 @@ class TestKillRecovery:
         assert recovery.resumed_seq > 0
         assert recovery.replayed_entries >= 1
 
+    @pytest.mark.parametrize("killed_seq", [6, 9])
+    def test_kill_postmortem_ends_at_the_killed_batch(self, tmp_path, killed_seq):
+        """The worker flushes its flight recorder after every batch, and
+        the flush is at the OS before the fault site fires: the victim's
+        dump ends at the very batch it was killed after."""
+        faults = FaultPlan(kills=frozenset({(1, killed_seq)}))
+        reference, _, out, runtime = run_pair(faults, tmp_path)
+        assert out.tdb() == reference.tdb()
+        (recovery,) = [r for r in runtime.recoveries if r.shard == 1]
+        batches = [e for e in recovery.flight if e["kind"] == "batch"]
+        assert batches[-1]["seq"] == killed_seq
+
     def test_checkpoint_acks_trim_journal(self, tmp_path):
         reference, baseline_out, out, runtime = run_pair(None, tmp_path)
         assert out.tdb() == reference.tdb()
