@@ -324,7 +324,7 @@ def run_merge_sharded(
     """
     import time
 
-    from repro.lmerge.shard import ShardedLMerge
+    from repro.lmerge.sharded import ShardedLMerge
 
     plan = ShardedLMerge(
         merge_cls,

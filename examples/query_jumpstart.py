@@ -21,7 +21,7 @@ from repro import (
     diverge,
     replay_stream,
 )
-from repro.ha.cutover import cutover
+from repro.ha.switchover import cutover
 
 
 def main() -> None:

@@ -21,88 +21,43 @@ query plans and simulation, and :mod:`repro.ha` for high availability,
 jumpstart, and cutover built on LMerge.
 """
 
-from repro.temporal import (
-    INFINITY,
-    Adjust,
-    Event,
-    FreezeStatus,
-    Insert,
-    Stable,
-    TDB,
-    reconstitute,
-)
-from repro.streams import (
-    GeneratorConfig,
-    PhysicalStream,
-    Restriction,
-    StreamGenerator,
-    StreamProperties,
-    classify,
-    diverge,
-    measure_properties,
-)
-from repro.lmerge import (
-    FeedbackSignal,
-    LMergeR0,
-    LMergeR1,
-    LMergeR2,
-    LMergeR3,
-    LMergeR3Naive,
-    LMergeR4,
-    MergeStats,
-    OutputPolicy,
-    algorithm_for,
-    create_lmerge,
-)
-from repro.engine import Query
-from repro.ha import Checkpoint, ReplicatedDeployment, checkpoint_of, replay_stream
-from repro.obs import (
-    LMergeObserver,
-    MetricRegistry,
-    RingTracer,
-    RunReport,
-    prometheus_text,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.query import Query
+    from repro.ha.checkpoint import Checkpoint, checkpoint_of, replay_stream
+    from repro.ha.replica import ReplicatedDeployment
+    from repro.lmerge.base import MergeStats
+    from repro.lmerge.feedback import FeedbackSignal
+    from repro.lmerge.policies import OutputPolicy
+    from repro.lmerge.r0 import LMergeR0
+    from repro.lmerge.r1 import LMergeR1
+    from repro.lmerge.r2 import LMergeR2
+    from repro.lmerge.r3 import LMergeR3
+    from repro.lmerge.r3_naive import LMergeR3Naive
+    from repro.lmerge.r4 import LMergeR4
+    from repro.lmerge.selector import algorithm_for, create_lmerge
+    from repro.obs.export import RunReport, prometheus_text
+    from repro.obs.lmerge_obs import LMergeObserver
+    from repro.obs.registry import MetricRegistry
+    from repro.obs.trace import RingTracer
+    from repro.streams.divergence import diverge
+    from repro.streams.generator import GeneratorConfig, StreamGenerator
+    from repro.streams.properties import (
+        Restriction,
+        StreamProperties,
+        classify,
+        measure_properties,
+    )
+    from repro.streams.stream import PhysicalStream
+    from repro.temporal.elements import Adjust, Insert, Stable
+    from repro.temporal.event import Event, FreezeStatus
+    from repro.temporal.tdb import TDB, reconstitute
+    from repro.temporal.time import INFINITY
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)
+    __all__.append("__version__")
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "INFINITY",
-    "Insert",
-    "Adjust",
-    "Stable",
-    "Event",
-    "FreezeStatus",
-    "TDB",
-    "reconstitute",
-    "PhysicalStream",
-    "StreamProperties",
-    "Restriction",
-    "classify",
-    "measure_properties",
-    "GeneratorConfig",
-    "StreamGenerator",
-    "diverge",
-    "LMergeR0",
-    "LMergeR1",
-    "LMergeR2",
-    "LMergeR3",
-    "LMergeR3Naive",
-    "LMergeR4",
-    "MergeStats",
-    "OutputPolicy",
-    "FeedbackSignal",
-    "algorithm_for",
-    "create_lmerge",
-    "Query",
-    "Checkpoint",
-    "checkpoint_of",
-    "replay_stream",
-    "ReplicatedDeployment",
-    "MetricRegistry",
-    "RingTracer",
-    "LMergeObserver",
-    "RunReport",
-    "prometheus_text",
-    "__version__",
-]

@@ -40,14 +40,10 @@ from repro.engine.operator import Operator
 from repro.engine.runtime import Runtime
 from repro.lmerge.base import interleave
 from repro.lmerge.selector import algorithm_for, create_lmerge
-from repro.obs import (
-    LMergeObserver,
-    MetricRegistry,
-    RingTracer,
-    RunReport,
-    prometheus_text,
-)
-from repro.obs.trace import NULL_TRACER
+from repro.obs.export import RunReport, prometheus_text
+from repro.obs.lmerge_obs import LMergeObserver
+from repro.obs.registry import MetricRegistry
+from repro.obs.trace import NULL_TRACER, RingTracer
 from repro.streams.divergence import diverge
 from repro.streams.generator import GeneratorConfig, StreamGenerator
 from repro.streams.io import read_stream, save_stream

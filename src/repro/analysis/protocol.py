@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import shm as shm_rings
+import repro.engine.shm as shm_rings
 
 from .flow import (
     CFG,

@@ -13,38 +13,24 @@ in realistic query plans —
   property inference (Section IV-G), and offline execution.
 """
 
-from repro.engine.operator import Operator, CallbackSink, CollectorSink
-from repro.engine.simulation import (
-    BurstyDelay,
-    CongestionWindows,
-    DelayModel,
-    FixedLag,
-    NoDelay,
-    Simulation,
-    SimulatedChannel,
-    SimulatedPlan,
-)
-from repro.engine.query import Query, infer_properties
-from repro.engine.runtime import QueuedEdge, Runtime
-from repro.engine.parallel import ParallelRuntime, ShardError, merge_factory
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Operator",
-    "CallbackSink",
-    "CollectorSink",
-    "Simulation",
-    "SimulatedChannel",
-    "SimulatedPlan",
-    "DelayModel",
-    "NoDelay",
-    "FixedLag",
-    "BurstyDelay",
-    "CongestionWindows",
-    "Query",
-    "infer_properties",
-    "Runtime",
-    "QueuedEdge",
-    "ParallelRuntime",
-    "ShardError",
-    "merge_factory",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.engine.operator import Operator, CallbackSink, CollectorSink
+    from repro.engine.simulation import (
+        BurstyDelay,
+        CongestionWindows,
+        DelayModel,
+        FixedLag,
+        NoDelay,
+        Simulation,
+        SimulatedChannel,
+        SimulatedPlan,
+    )
+    from repro.engine.query import Query, infer_properties
+    from repro.engine.runtime import QueuedEdge, Runtime
+    from repro.engine.parallel import ParallelRuntime, ShardError, merge_factory
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

@@ -66,7 +66,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.columnar import ColumnBatch
-from repro.engine import shm as shm_rings
+import repro.engine.shm as shm_rings
 from repro.engine.shm import RingClosedError, ShmRing
 from repro.temporal.elements import Element
 

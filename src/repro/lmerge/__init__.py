@@ -23,42 +23,27 @@ R4      :class:`LMergeR4`           in3t three-tier index
 serial, thread, or process backend (``create_lmerge(..., shards=N)``).
 """
 
-from repro.lmerge.base import LMergeBase, MergeStats
-from repro.lmerge.policies import (
-    AdjustPropagation,
-    InsertPropagation,
-    OutputPolicy,
-)
-from repro.lmerge.r0 import LMergeR0
-from repro.lmerge.r1 import LMergeR1
-from repro.lmerge.r2 import LMergeR2
-from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.r3_naive import LMergeR3Naive
-from repro.lmerge.r4 import LMergeR4
-from repro.lmerge.reclaim import ReclamationPolicy
-from repro.lmerge.selector import algorithm_for, create_lmerge
-from repro.lmerge.feedback import FeedbackSignal, FeedbackPolicy
-from repro.lmerge.counting import CountingMerge
-from repro.lmerge.shard import ShardedLMerge, shard
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "LMergeBase",
-    "MergeStats",
-    "OutputPolicy",
-    "AdjustPropagation",
-    "InsertPropagation",
-    "LMergeR0",
-    "LMergeR1",
-    "LMergeR2",
-    "LMergeR3",
-    "LMergeR3Naive",
-    "LMergeR4",
-    "ReclamationPolicy",
-    "algorithm_for",
-    "create_lmerge",
-    "FeedbackSignal",
-    "FeedbackPolicy",
-    "CountingMerge",
-    "ShardedLMerge",
-    "shard",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lmerge.base import LMergeBase, MergeStats
+    from repro.lmerge.policies import (
+        AdjustPropagation,
+        InsertPropagation,
+        OutputPolicy,
+    )
+    from repro.lmerge.r0 import LMergeR0
+    from repro.lmerge.r1 import LMergeR1
+    from repro.lmerge.r2 import LMergeR2
+    from repro.lmerge.r3 import LMergeR3
+    from repro.lmerge.r3_naive import LMergeR3Naive
+    from repro.lmerge.r4 import LMergeR4
+    from repro.lmerge.reclaim import ReclamationPolicy
+    from repro.lmerge.selector import algorithm_for, create_lmerge
+    from repro.lmerge.feedback import FeedbackSignal, FeedbackPolicy
+    from repro.lmerge.counting import CountingMerge
+    from repro.lmerge.sharded import ShardedLMerge, shard
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

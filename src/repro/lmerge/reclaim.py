@@ -39,6 +39,6 @@ class ReclamationPolicy:
     pruning on and ``reclamation=None`` leaves it off.  It stays a class,
     not a flag, because callers construct it — lmbench's workloads and the
     Fig. 2 bench among them.  Picklable (plain frozen dataclass) so it
-    crosses the process-backend boundary of :func:`repro.lmerge.shard.shard`
+    crosses the process-backend boundary of :func:`repro.lmerge.sharded.shard`
     unchanged.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Type, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lmerge.shard import ShardedLMerge
+    from repro.lmerge.sharded import ShardedLMerge
 
 from repro.lmerge.base import LMergeBase
 from repro.lmerge.policies import DEFAULT_POLICY, OutputPolicy
@@ -64,7 +64,7 @@ def restriction_of(merge: object) -> Restriction:
     """The restriction a concrete merge (or merge class) runs under.
 
     Works for :class:`LMergeBase` subclasses/instances and for
-    :class:`~repro.lmerge.shard.ShardedLMerge` wrappers, which carry their
+    :class:`~repro.lmerge.sharded.ShardedLMerge` wrappers, which carry their
     inner algorithm's restriction.  Raises :class:`TypeError` for objects
     that declare none — the static analyzer refuses to certify those.
     """
@@ -87,7 +87,7 @@ def create_lmerge(
     ValueError if explicitly set) by R0-R2, which have no policy freedom.
 
     With ``shards > 1`` the selected algorithm is wrapped in an N-shard
-    partition-parallel plan (see :func:`repro.lmerge.shard.shard`) running
+    partition-parallel plan (see :func:`repro.lmerge.sharded.shard`) running
     on *backend* workers; the returned object mirrors the LMergeBase
     driving surface.
     """
@@ -100,7 +100,7 @@ def create_lmerge(
     if cls in (LMergeR3,):
         kwargs = dict(kwargs, policy=policy or DEFAULT_POLICY)
     if shards > 1:
-        from repro.lmerge.shard import shard as make_sharded
+        from repro.lmerge.sharded import shard as make_sharded
 
         return make_sharded(cls, shards, backend=backend, **kwargs)
     return cls(**kwargs)

@@ -7,9 +7,11 @@ figure experiments additionally need throughput *timelines* over simulated
 time and application-time **latency**.
 """
 
-from repro.metrics.collector import AppTimeLatencyProbe, ThroughputTimeline
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ThroughputTimeline",
-    "AppTimeLatencyProbe",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.metrics.collector import AppTimeLatencyProbe, ThroughputTimeline
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

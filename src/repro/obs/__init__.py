@@ -26,78 +26,45 @@ timing.  This package makes those first-class and *opt-in*:
 Nothing here is active by default: operators carry the shared
 :data:`NULL_TRACER` and hook points guard on ``registry is not None``,
 so the uninstrumented hot paths stay within the 5% budget asserted by
-``bench_hotpath``.  See docs/OBSERVABILITY.md.
+``bench_hotpath``.  The merge code imports only the submodules it
+uses, and each name here loads its submodule on first access, so
+``http.server``, ``ssl`` and ``email`` load only with
+:class:`MetricsServer`.  See docs/OBSERVABILITY.md.
 """
 
 from typing import TYPE_CHECKING
 
-from repro.obs.export import (
-    RunReport,
-    instrument_value,
-    prometheus_text,
-    write_jsonl,
-)
-from repro.obs.lmerge_obs import (
-    LMergeObserver,
-    ShardObserver,
-    count_feedback,
-    frontier_lag,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    TimeSeries,
-)
-from repro.obs.telemetry import (
-    FlightRecorder,
-    TelemetryAggregator,
-    TelemetryEmitter,
-    make_trace_id,
-    trace_seq,
-    trace_shard,
-)
-from repro.obs.trace import NULL_TRACER, NullTracer, RingTracer
+from repro._lazy import lazy_exports
 
-if TYPE_CHECKING:  # pragma: no cover - served lazily below
+if TYPE_CHECKING:
+    from repro.obs.export import (
+        RunReport,
+        instrument_value,
+        prometheus_text,
+        write_jsonl,
+    )
     from repro.obs.http import MetricsServer
-
-
-def __getattr__(name: str):
-    # PEP 562: ``repro.obs.http`` pulls in http.server, ssl, email and
-    # socketserver (~3 MiB resident).  Every ``import repro.lmerge``
-    # reaches this package, and forked shard workers inherit the pages,
-    # so the HTTP endpoint loads on first use instead.
-    if name == "MetricsServer":
-        from repro.obs.http import MetricsServer
-
-        return MetricsServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "MetricRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TimeSeries",
-    "NullTracer",
-    "RingTracer",
-    "NULL_TRACER",
-    "LMergeObserver",
-    "ShardObserver",
-    "count_feedback",
-    "frontier_lag",
-    "RunReport",
-    "prometheus_text",
-    "write_jsonl",
-    "instrument_value",
-    "TelemetryEmitter",
-    "TelemetryAggregator",
-    "FlightRecorder",
-    "make_trace_id",
-    "trace_shard",
-    "trace_seq",
-    "MetricsServer",
-]
+    from repro.obs.lmerge_obs import (
+        LMergeObserver,
+        ShardObserver,
+        count_feedback,
+        frontier_lag,
+    )
+    from repro.obs.registry import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricRegistry,
+        TimeSeries,
+    )
+    from repro.obs.telemetry import (
+        FlightRecorder,
+        TelemetryAggregator,
+        TelemetryEmitter,
+        make_trace_id,
+        trace_seq,
+        trace_shard,
+    )
+    from repro.obs.trace import NULL_TRACER, NullTracer, RingTracer
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

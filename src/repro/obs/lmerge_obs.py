@@ -13,7 +13,7 @@ those as registry instruments:
   at whatever cadence it likes (every K elements, every batch), so an
   unobserved merge pays nothing.
 * :class:`ShardObserver` — samples a
-  :class:`~repro.lmerge.shard.ShardedLMerge` plan: per-shard input-queue
+  :class:`~repro.lmerge.sharded.ShardedLMerge` plan: per-shard input-queue
   depth (from :meth:`~repro.engine.parallel.ParallelRuntime.queue_depths`),
   per-shard CTI frontier, and each shard's lag behind the most advanced
   shard (stragglers are what hold the combined CTI back).
@@ -35,7 +35,7 @@ from repro.obs.registry import MetricRegistry, TimeSeries
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.operator import Operator
     from repro.lmerge.base import LMergeBase, MergeStats
-    from repro.lmerge.shard import ShardedLMerge
+    from repro.lmerge.sharded import ShardedLMerge
 
 
 def frontier_lag(output_frontier: float, input_frontier: float) -> float:

@@ -21,37 +21,25 @@ These are the query-plan building blocks the paper composes around LMerge:
   out, min-frontier punctuation on the way back).
 """
 
-from repro.operators.source import StreamSource
-from repro.operators.select import Filter, MapPayload
-from repro.operators.union import Union
-from repro.operators.join import TemporalJoin
-from repro.operators.aggregate import (
-    AggregateMode,
-    GroupedCount,
-    TopK,
-    WindowedCount,
-)
-from repro.operators.cleanse import Cleanse
-from repro.operators.alter_lifetime import AlterLifetime
-from repro.operators.udf import UdfFilter, ValueBandCost
-from repro.operators.sample import Sample
-from repro.operators.exchange import ShardUnion, partition_batch
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "StreamSource",
-    "Filter",
-    "MapPayload",
-    "Union",
-    "TemporalJoin",
-    "AggregateMode",
-    "WindowedCount",
-    "GroupedCount",
-    "TopK",
-    "Cleanse",
-    "AlterLifetime",
-    "UdfFilter",
-    "ValueBandCost",
-    "Sample",
-    "ShardUnion",
-    "partition_batch",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.operators.source import StreamSource
+    from repro.operators.select import Filter, MapPayload
+    from repro.operators.union import Union
+    from repro.operators.join import TemporalJoin
+    from repro.operators.aggregate import (
+        AggregateMode,
+        GroupedCount,
+        TopK,
+        WindowedCount,
+    )
+    from repro.operators.cleanse import Cleanse
+    from repro.operators.alter_lifetime import AlterLifetime
+    from repro.operators.udf import UdfFilter, ValueBandCost
+    from repro.operators.sample import Sample
+    from repro.operators.exchange import ShardUnion, partition_batch
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

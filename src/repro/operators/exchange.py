@@ -15,7 +15,7 @@ halves of the exchange here keep the punctuation semantics intact:
   may not promise ``t`` until every shard has (CTI alignment, the
   correctness crux of the whole scheme).
 
-:mod:`repro.lmerge.shard` composes them with
+:mod:`repro.lmerge.sharded` composes them with
 :class:`~repro.engine.parallel.ParallelRuntime` into the ``shard()``
 helper.
 """

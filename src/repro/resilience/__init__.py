@@ -19,28 +19,22 @@ recoverable:
 See docs/RESILIENCE.md for the full design.
 """
 
-from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
-from repro.resilience.snapshot import (
-    SNAPSHOT_KEY,
-    load_snapshot,
-    save_snapshot,
-)
-from repro.resilience.store import (
-    CorruptStateError,
-    StateStore,
-    StateStoreError,
-)
-from repro.resilience.supervisor import RecoveryRecord, SupervisedRuntime
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CorruptStateError",
-    "FaultPlan",
-    "KILL_EXIT_CODE",
-    "RecoveryRecord",
-    "SNAPSHOT_KEY",
-    "StateStore",
-    "StateStoreError",
-    "SupervisedRuntime",
-    "load_snapshot",
-    "save_snapshot",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
+    from repro.resilience.snapshot import (
+        SNAPSHOT_KEY,
+        load_snapshot,
+        save_snapshot,
+    )
+    from repro.resilience.store import (
+        CorruptStateError,
+        StateStore,
+        StateStoreError,
+    )
+    from repro.resilience.supervisor import RecoveryRecord, SupervisedRuntime
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r4 import LMergeR4
-from repro.lmerge.shard import shard
+from repro.lmerge.sharded import shard
 from repro.resilience.faults import FaultPlan
 from repro.streams.divergence import diverge
 from repro.streams.generator import GeneratorConfig, StreamGenerator

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine import shm as shm_rings
+import repro.engine.shm as shm_rings
 from repro.engine.parallel import (
     ParallelRuntime,
     ShardError,

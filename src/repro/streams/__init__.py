@@ -11,44 +11,31 @@
   (reordering, speculation/revision, stable thinning, gaps, duplication).
 """
 
-from repro.streams.stream import PhysicalStream
-from repro.streams.properties import (
-    Restriction,
-    StreamProperties,
-    classify,
-    measure_properties,
-)
-from repro.streams.generator import GeneratorConfig, StreamGenerator
-from repro.streams.analyze import DisorderStats, measure_disorder
-from repro.streams.punctuation import (
-    WatermarkTracker,
-    strip_stables,
-    with_heartbeats,
-)
-from repro.streams.divergence import (
-    diverge,
-    inject_gap,
-    reorder_within_stability,
-    speculate,
-    thin_stables,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "PhysicalStream",
-    "Restriction",
-    "StreamProperties",
-    "classify",
-    "measure_properties",
-    "GeneratorConfig",
-    "StreamGenerator",
-    "diverge",
-    "reorder_within_stability",
-    "speculate",
-    "thin_stables",
-    "inject_gap",
-    "WatermarkTracker",
-    "with_heartbeats",
-    "strip_stables",
-    "DisorderStats",
-    "measure_disorder",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.streams.stream import PhysicalStream
+    from repro.streams.properties import (
+        Restriction,
+        StreamProperties,
+        classify,
+        measure_properties,
+    )
+    from repro.streams.generator import GeneratorConfig, StreamGenerator
+    from repro.streams.analyze import DisorderStats, measure_disorder
+    from repro.streams.punctuation import (
+        WatermarkTracker,
+        strip_stables,
+        with_heartbeats,
+    )
+    from repro.streams.divergence import (
+        diverge,
+        inject_gap,
+        reorder_within_stability,
+        speculate,
+        thin_stables,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

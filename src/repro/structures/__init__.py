@@ -16,23 +16,18 @@ orders only their distinct Vs values, in
 containers are used anywhere in this repository).
 """
 
-from repro.structures.rbtree import RedBlackTree
-from repro.structures.in2t import In2T, In2TNode, OUTPUT
-from repro.structures.in3t import In3T, In3TNode
-from repro.structures.sizing import (
-    HASH_ENTRY_OVERHEAD,
-    TREE_NODE_OVERHEAD,
-    payload_bytes,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "RedBlackTree",
-    "In2T",
-    "In2TNode",
-    "In3T",
-    "In3TNode",
-    "OUTPUT",
-    "payload_bytes",
-    "TREE_NODE_OVERHEAD",
-    "HASH_ENTRY_OVERHEAD",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.structures.rbtree import RedBlackTree
+    from repro.structures.in2t import In2T, In2TNode, OUTPUT
+    from repro.structures.in3t import In3T, In3TNode
+    from repro.structures.sizing import (
+        HASH_ENTRY_OVERHEAD,
+        TREE_NODE_OVERHEAD,
+        payload_bytes,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

@@ -12,48 +12,32 @@ consumes several such streams and produces one output compatible with all of
 them.
 """
 
-from repro.temporal.time import (
-    INFINITY,
-    MINUS_INFINITY,
-    Timestamp,
-    is_finite,
-    validate_timestamp,
-)
-from repro.temporal.event import Event, FreezeStatus, freeze_status
-from repro.temporal.elements import (
-    Adjust,
-    Close,
-    Element,
-    Insert,
-    Open,
-    Stable,
-    element_sort_key,
-)
-from repro.temporal.tdb import TDB, reconstitute, reconstitute_prefix
-from repro.temporal.dialects import (
-    elements_to_open_close,
-    open_close_to_elements,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "INFINITY",
-    "MINUS_INFINITY",
-    "Timestamp",
-    "is_finite",
-    "validate_timestamp",
-    "Event",
-    "FreezeStatus",
-    "freeze_status",
-    "Element",
-    "Insert",
-    "Adjust",
-    "Stable",
-    "Open",
-    "Close",
-    "element_sort_key",
-    "TDB",
-    "reconstitute",
-    "reconstitute_prefix",
-    "open_close_to_elements",
-    "elements_to_open_close",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.temporal.time import (
+        INFINITY,
+        MINUS_INFINITY,
+        Timestamp,
+        is_finite,
+        validate_timestamp,
+    )
+    from repro.temporal.event import Event, FreezeStatus, freeze_status
+    from repro.temporal.elements import (
+        Adjust,
+        Close,
+        Element,
+        Insert,
+        Open,
+        Stable,
+        element_sort_key,
+    )
+    from repro.temporal.tdb import TDB, reconstitute, reconstitute_prefix
+    from repro.temporal.dialects import (
+        elements_to_open_close,
+        open_close_to_elements,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

@@ -13,24 +13,21 @@ Tests use these as oracles: after every element an LMerge algorithm emits,
 the output prefix must remain compatible with the input prefixes.
 """
 
-from repro.theory.equivalence import (
-    equivalent_prefixes,
-    open_close_compatible,
-    prefix_equivalent_open_close,
-)
-from repro.theory.compatibility import (
-    CompatibilityViolation,
-    check_r3_compatibility,
-    check_r4_conformance,
-    is_r3_compatible,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "equivalent_prefixes",
-    "open_close_compatible",
-    "prefix_equivalent_open_close",
-    "CompatibilityViolation",
-    "check_r3_compatibility",
-    "check_r4_conformance",
-    "is_r3_compatible",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.theory.equivalence import (
+        equivalent_prefixes,
+        open_close_compatible,
+        prefix_equivalent_open_close,
+    )
+    from repro.theory.compatibility import (
+        CompatibilityViolation,
+        check_r3_compatibility,
+        check_r4_conformance,
+        is_r3_compatible,
+    )
+else:
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, __file__)

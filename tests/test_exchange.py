@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.engine.columnar import ColumnBatch
 from repro.engine.operator import CollectorSink
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.shard import shard
+from repro.lmerge.sharded import shard
 from repro.operators.exchange import (
     ShardUnion,
     identity_key,

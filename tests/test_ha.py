@@ -4,7 +4,7 @@ jumpstart, and query cutover (Section II)."""
 import pytest
 
 from repro.ha.checkpoint import checkpoint_of, replay_stream
-from repro.ha.cutover import cutover
+from repro.ha.switchover import cutover
 from repro.ha.replica import FailureEvent, RecoveryMode, ReplicatedDeployment
 from repro.lmerge.r3 import LMergeR3
 from repro.streams.stream import PhysicalStream

@@ -6,7 +6,7 @@ from repro.engine.operator import Operator
 from repro.lmerge.base import MergeStats
 from repro.lmerge.feedback import FeedbackSignal
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.shard import shard
+from repro.lmerge.sharded import shard
 from repro.obs.lmerge_obs import (
     LMergeObserver,
     ShardObserver,

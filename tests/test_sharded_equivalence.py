@@ -1,6 +1,6 @@
 """Sharded plans are semantically invisible (satellite property tests).
 
-Two claims, both from the partitioning argument in ``repro.lmerge.shard``:
+Two claims, both from the partitioning argument in ``repro.lmerge.sharded``:
 
 1. The sharded plan's emitted CTIs are exactly the pointwise minimum of
    the per-shard frontiers (ShardUnion alignment at the plan level).
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.engine.parallel import ParallelRuntime
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.shard import ShardedLMerge, shard
+from repro.lmerge.sharded import ShardedLMerge, shard
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisedRuntime
 from repro.temporal.elements import Stable

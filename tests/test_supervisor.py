@@ -16,7 +16,7 @@ from repro.engine.parallel import ParallelRuntime, ShardError, merge_factory
 from repro.engine.shm import CTRL, PeerDeadError, RingClosedError, ShmRing
 from repro.lmerge.base import MergeStats
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.shard import shard
+from repro.lmerge.sharded import shard
 from repro.obs.registry import MetricRegistry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import MAX_RESTARTS, SupervisedRuntime

@@ -9,7 +9,7 @@ import pytest
 
 from repro.engine.parallel import available_cores
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.shard import shard
+from repro.lmerge.sharded import shard
 from repro.obs.registry import MetricRegistry
 from repro.obs.telemetry import (
     _MAX_PENDING,
