@@ -83,8 +83,8 @@ def create_lmerge(
 ) -> "Union[LMergeBase, ShardedLMerge]":
     """Instantiate the algorithm :func:`algorithm_for` selects.
 
-    *policy* is honoured by the R3/R4 algorithms and ignored (with a
-    ValueError if explicitly set) by R0-R2, which have no policy freedom.
+    *policy* is honoured by the R3 algorithm only; any other algorithm
+    raises ValueError for a non-default one rather than drop it.
 
     With ``shards > 1`` the selected algorithm is wrapped in an N-shard
     partition-parallel plan (see :func:`repro.lmerge.sharded.shard`) running
@@ -92,13 +92,10 @@ def create_lmerge(
     driving surface.
     """
     cls = algorithm_for(spec)
-    if policy is not None and policy != DEFAULT_POLICY:
-        if cls not in (LMergeR3, LMergeR4):
-            raise ValueError(
-                f"{cls.algorithm} admits no output-policy choices"
-            )
-    if cls in (LMergeR3,):
+    if cls is LMergeR3:
         kwargs = dict(kwargs, policy=policy or DEFAULT_POLICY)
+    elif policy is not None and policy != DEFAULT_POLICY:
+        raise ValueError(f"{cls.algorithm} admits no output-policy choices")
     if shards > 1:
         from repro.lmerge.sharded import shard as make_sharded
 

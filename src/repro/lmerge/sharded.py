@@ -29,11 +29,8 @@ per-shard statistics.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.engine.columnar import ColumnBatch
-from repro.engine.operator import CollectorSink
-from repro.engine.parallel import ENVELOPES, ParallelRuntime, merge_factory
 from repro.lmerge.base import (
     InputStateError,
     LMergeBase,
@@ -41,14 +38,12 @@ from repro.lmerge.base import (
     StreamId,
     interleave_batches,
 )
-from repro.operators.exchange import (
-    ShardUnion,
-    partition_batch,
-    partition_columns,
-)
 from repro.streams.stream import PhysicalStream
 from repro.temporal.elements import Element
 from repro.temporal.time import MINUS_INFINITY, Timestamp
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.parallel import ParallelRuntime
 
 
 class ShardedLMerge:
@@ -82,6 +77,17 @@ class ShardedLMerge:
         tracer=None,
         **merge_kwargs,
     ):
+        # The exchange (and multiprocessing with it) loads with the first
+        # sharded plan, so an unsharded merge never compiles it.
+        from repro.engine.columnar import ColumnBatch
+        from repro.engine.operator import CollectorSink
+        from repro.engine.parallel import ENVELOPES, ParallelRuntime, merge_factory
+        from repro.operators.exchange import (
+            ShardUnion,
+            partition_batch,
+            partition_columns,
+        )
+
         if num_shards < 1:
             raise ValueError("need at least one shard")
         if envelope not in ENVELOPES:
@@ -125,6 +131,9 @@ class ShardedLMerge:
         #: other backends already share the driver registry.
         self.telemetry_interval = telemetry_interval
         self.tracer = tracer
+        self._column_batch: Type[ColumnBatch] = ColumnBatch
+        self._partition_columns = partition_columns
+        self._partition_batch = partition_batch
         self._union = ShardUnion(
             num_shards, name=f"{self.name}.union", registry=registry
         )
@@ -132,6 +141,10 @@ class ShardedLMerge:
         self._union.subscribe(sink)
         self.output = sink.stream
         factory = merge_factory(merge_cls, **merge_kwargs)
+        # A keyword the variant does not take raises TypeError here, in the
+        # driver, before any worker starts (a process worker would only
+        # report it as a ShardError at close()).
+        factory([].append)
         shared = dict(
             coalesce_stables=coalesce_stables,
             registry=registry,
@@ -219,14 +232,15 @@ class ShardedLMerge:
             raise InputStateError(f"batch from unattached stream {stream_id!r}")
         runtime = self._runtime
         if self.envelope == "columnar":
+            column_batch = self._column_batch
             batch = (
                 elements
-                if isinstance(elements, ColumnBatch)
-                else ColumnBatch.from_elements(list(elements))
+                if isinstance(elements, column_batch)
+                else column_batch.from_elements(list(elements))
             )
-            buckets = partition_columns(batch, self.num_shards)
+            buckets = self._partition_columns(batch, self.num_shards)
         else:
-            buckets = partition_batch(elements, self.num_shards)
+            buckets = self._partition_batch(elements, self.num_shards)
         for shard, bucket in enumerate(buckets):
             if bucket:
                 runtime.submit(shard, stream_id, bucket)
@@ -235,7 +249,7 @@ class ShardedLMerge:
     def _collect(self) -> None:
         union = self._union
         for shard, outputs in self._runtime.poll():
-            if isinstance(outputs, ColumnBatch):
+            if isinstance(outputs, self._column_batch):
                 union.receive_columns(outputs, shard)
             else:
                 union.receive_batch(outputs, shard)

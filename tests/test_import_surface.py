@@ -6,9 +6,10 @@ access, so two things are pinned here, each in a fresh interpreter:
 * every name a hub exported when its imports were eager still resolves
   to its defining module's object, whether the hub or the submodule is
   imported first (a submodule named like an export would shadow it);
-* the modules lmbench's import line loads are a frozen tuple, and
-  building and running one plan of each lmbench shape loads no further
-  ``repro`` module, so no compile lands inside a timed region.
+* the modules lmbench's import line loads are a frozen tuple; an
+  unsharded plan never loads the process exchange; and running a built
+  plan of each lmbench shape loads no further ``repro`` module, so no
+  compile lands inside a timed region.
 """
 
 from __future__ import annotations
@@ -245,14 +246,8 @@ from repro.temporal.validate import validate_stream
 LMBENCH_MODULES = (
     "repro",
     "repro._lazy",
-    "repro.engine",
-    "repro.engine.columnar",
-    "repro.engine.operator",
-    "repro.engine.parallel",
-    "repro.engine.shm",
     "repro.lmerge",
     "repro.lmerge.base",
-    "repro.lmerge.feedback",
     "repro.lmerge.policies",
     "repro.lmerge.r1",
     "repro.lmerge.r3",
@@ -261,8 +256,6 @@ LMBENCH_MODULES = (
     "repro.lmerge.sharded",
     "repro.obs",
     "repro.obs.trace",
-    "repro.operators",
-    "repro.operators.exchange",
     "repro.streams",
     "repro.streams.divergence",
     "repro.streams.generator",
@@ -283,11 +276,23 @@ LMBENCH_MODULES = (
     "repro.temporal.validate",
 )
 
+#: What only a sharded plan may load: the process exchange and the stdlib
+#: trees behind its worker backends.
+EXCHANGE_PREFIXES = (
+    "repro.engine",
+    "repro.operators",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
 LOADED = "sorted(m for m in sys.modules if m == 'repro' or m.startswith('repro.'))"
 
 #: One small plan of each lmbench shape, fed and drained the way
-#: benchmarks/lmbench/rep.py does, after the import line above.
-RUN_SHAPES = """
+#: benchmarks/lmbench/rep.py does, after the import line above.  The
+#: first three shapes are unsharded.  ``loaded_while_running`` collects
+#: the modules a plan loads after it is built: a sharded plan loads the
+#: exchange while it is built, which lmbench counts as set-up.
+RUN_SHAPES = f"""
 base = StreamGenerator(GeneratorConfig(count=400, seed=5)).generate()
 ordered = StreamGenerator(
     GeneratorConfig(count=400, seed=5, min_gap=1, disorder=0.0)
@@ -297,13 +302,24 @@ for replica in disordered:
     validate_stream(replica)
 classify(measure_joint_properties(disordered))
 shapes = [
-    (LMergeR1(), [list(ordered)] * 3, "batch"),
-    (LMergeR3(), disordered, "batch"),
-    (LMergeR4(reclamation=ReclamationPolicy()), disordered, "element"),
-    (shard(LMergeR3, 2, backend="serial", coalesce_stables=True), disordered, "batch"),
-    (shard(LMergeR3, 2, backend="process", coalesce_stables=True), disordered, "batch"),
-]
-for plan, replicas, ingest in shapes:
+    (lambda: LMergeR1(), [list(ordered)] * 3, "batch"),
+    (lambda: LMergeR3(), disordered, "batch"),
+    (lambda: LMergeR4(reclamation=ReclamationPolicy()), disordered, "element"),
+    (
+        lambda: shard(LMergeR3, 2, backend="serial", coalesce_stables=True),
+        disordered,
+        "batch",
+    ),
+    (
+        lambda: shard(LMergeR3, 2, backend="process", coalesce_stables=True),
+        disordered,
+        "batch",
+    ),
+][:SHAPES]
+loaded_while_running = []
+for build, replicas, ingest in shapes:
+    plan = build()
+    built = set({LOADED})
     for stream_id in range(3):
         plan.attach(stream_id)
     for chunk, stream_id in interleave_batches(replicas, "round_robin", 0, 64):
@@ -317,6 +333,7 @@ for plan, replicas, ingest in shapes:
         plan.close()
     assert plan.stats.inserts_out + plan.stats.adjusts_out > 0
     assert reconstitute(plan.output) == reconstitute(replicas[0]), plan
+    loaded_while_running += sorted(set({LOADED}) - built)
 """
 
 
@@ -329,13 +346,22 @@ def test_import_repro_loads_only_the_hub():
 def test_lmbench_import_line_loads_the_frozen_modules():
     code = f"import sys, json\n{LMBENCH_IMPORTS}\nprint(json.dumps({LOADED}))"
     loaded = tuple(json.loads(run_python(code)))
-    assert len(LMBENCH_MODULES) <= 40
+    assert len(LMBENCH_MODULES) <= 30
     assert loaded == LMBENCH_MODULES
+
+
+def test_unsharded_shapes_load_no_process_exchange():
+    code = (
+        f"import sys, json\n{LMBENCH_IMPORTS}\nSHAPES = 3\n{RUN_SHAPES}\n"
+        f"print(json.dumps(sorted(m for m in sys.modules "
+        f"if m.startswith({EXCHANGE_PREFIXES!r}))))"
+    )
+    assert json.loads(run_python(code)) == []
 
 
 def test_running_each_lmbench_shape_loads_no_further_module():
     code = (
-        f"import sys, json\n{LMBENCH_IMPORTS}\nbefore = {LOADED}\n"
-        f"{RUN_SHAPES}\nprint(json.dumps(sorted(set({LOADED}) - set(before))))"
+        f"import sys, json\n{LMBENCH_IMPORTS}\nSHAPES = 5\n{RUN_SHAPES}\n"
+        "print(json.dumps(loaded_while_running))"
     )
     assert json.loads(run_python(code)) == []

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.lmerge.policies import CONSERVATIVE_POLICY
+from repro.engine.query import Query
+from repro.lmerge.policies import (
+    CONSERVATIVE_POLICY,
+    InsertPropagation,
+    OutputPolicy,
+)
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
@@ -10,6 +15,10 @@ from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r4 import LMergeR4
 from repro.lmerge.selector import algorithm_for, create_lmerge
 from repro.streams.properties import Restriction, StreamProperties
+from repro.streams.stream import PhysicalStream
+
+#: A non-default policy that only LMergeR3 implements.
+QUORUM_POLICY = OutputPolicy(insert=InsertPropagation.QUORUM, stable_lag=5.0)
 
 
 class TestAlgorithmFor:
@@ -51,6 +60,19 @@ class TestCreateLMerge:
     def test_policy_rejected_for_simple_algorithms(self):
         with pytest.raises(ValueError):
             create_lmerge(Restriction.R0, policy=CONSERVATIVE_POLICY)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_policy_rejected_for_r4(self, shards):
+        # R4 has no policy hooks: the policy must not be dropped silently.
+        with pytest.raises(ValueError, match="no output-policy"):
+            create_lmerge(
+                Restriction.R4, policy=QUORUM_POLICY, shards=shards, backend="serial"
+            )
+
+    def test_policy_rejected_for_r4_through_query(self):
+        replicas = [Query.from_stream(PhysicalStream()) for _ in range(2)]
+        with pytest.raises(ValueError, match="no output-policy"):
+            Query.merge_with(replicas, policy=QUORUM_POLICY, force=Restriction.R4)
 
     def test_kwargs_forwarded(self):
         merge = create_lmerge(Restriction.R1, name="custom")

@@ -10,13 +10,16 @@ Two claims, both from the partitioning argument in ``repro.lmerge.sharded``:
 """
 
 import inspect
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.parallel import ParallelRuntime
+from repro.lmerge.policies import CONSERVATIVE_POLICY
 from repro.lmerge.r3 import LMergeR3
+from repro.lmerge.r4 import LMergeR4
 from repro.lmerge.sharded import ShardedLMerge, shard
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisedRuntime
@@ -124,3 +127,11 @@ class TestPlanSurface:
     def test_retired_and_unsupervised_options_are_rejected(self, options, error):
         with pytest.raises(error):
             shard(LMergeR3, 2, backend="serial", **options)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_a_keyword_the_variant_does_not_take_fails_before_any_worker(
+        self, backend
+    ):
+        with pytest.raises(TypeError, match="policy"):
+            shard(LMergeR4, 2, backend=backend, policy=CONSERVATIVE_POLICY)
+        assert multiprocessing.active_children() == []
