@@ -17,7 +17,7 @@ from repro.lmerge.policies import (
     OutputPolicy,
 )
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.base import interleave
+from repro.lmerge.base import interleave_batches
 from repro.streams.divergence import diverge
 from repro.temporal.elements import Adjust
 
@@ -47,8 +47,8 @@ def run_policy(policy, inputs):
         merge.attach(stream_id)
     total = sum(len(stream) for stream in inputs)
     halfway_emitted = None
-    for index, (element, stream_id) in enumerate(
-        interleave(list(inputs), "round_robin", 0)
+    for index, ((element,), stream_id) in enumerate(
+        interleave_batches(list(inputs), "round_robin", 0, 1)
     ):
         merge.process(element, stream_id)
         if halfway_emitted is None and index >= total // 2:

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.engine.operator import CallbackSink
-from repro.lmerge.base import interleave
+from repro.lmerge.base import interleave_batches
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r3 import LMergeR3
 from repro.lmerge.r3_naive import LMergeR3Naive
@@ -89,7 +89,9 @@ def drive(system, inputs, memory_every=None, latency_probe=None):
     processed = 0
     start = time.perf_counter()
     out_cursor = 0
-    for element, stream_id in interleave(list(inputs), "round_robin", 0):
+    for (element,), stream_id in interleave_batches(
+        list(inputs), "round_robin", 0, 1
+    ):
         if latency_probe is not None and stream_id == 0:
             latency_probe.observe_input(element)
         system.process(element, stream_id)

@@ -84,8 +84,8 @@ def test_batched_output_equivalent():
         per = cls()
         out_per = per.merge(_workload_for(name), schedule="sequential")
         bat = cls()
-        out_bat = bat.merge_batched(
-            _workload_for(name), schedule="sequential", coalesce_stables=False
+        out_bat = bat.merge(
+            _workload_for(name), schedule="sequential", batch_size=64
         )
         assert list(out_per) == list(out_bat), name
         assert per.stats == bat.stats, name

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 import pytest
 
 from repro.engine.operator import CollectorSink
-from repro.lmerge.base import LMergeBase, interleave, interleave_batches
+from repro.lmerge.base import LMergeBase, interleave_batches
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
 from repro.lmerge.r2 import LMergeR2
@@ -192,7 +192,7 @@ def run_merge(
     peak_nodes = 0
     processed = 0
     start = time.perf_counter()
-    for element, stream_id in interleave(streams, schedule, 0):
+    for (element,), stream_id in interleave_batches(streams, schedule, 0, 1):
         merge.process(element, stream_id)
         processed += 1
         if memory_every and processed % memory_every == 0:

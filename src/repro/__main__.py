@@ -38,7 +38,7 @@ import time
 
 from repro.engine.operator import Operator
 from repro.engine.runtime import Runtime
-from repro.lmerge.base import interleave
+from repro.lmerge.base import interleave_batches
 from repro.lmerge.selector import algorithm_for, create_lmerge
 from repro.obs.export import RunReport, prometheus_text
 from repro.obs.lmerge_obs import LMergeObserver
@@ -166,7 +166,9 @@ def _instrumented_merge(args: argparse.Namespace, merge, inputs) -> None:
     sample_every = max(1, total // 128)
     processed = 0
     start = time.perf_counter()
-    for element, stream_id in interleave(list(inputs), args.schedule, args.seed):
+    for (element,), stream_id in interleave_batches(
+        list(inputs), args.schedule, args.seed, 1
+    ):
         edges[stream_id].receive(element)
         processed += 1
         if processed % 64 == 0:

@@ -176,8 +176,11 @@ class _VsColumn:
 class LMergeBase:
     """Abstract LMerge operator.
 
-    Subclasses implement ``_insert``, ``_adjust``, and ``_stable``; the
-    base class handles dispatch, statistics, input lifecycle, and output.
+    Subclasses implement ``_stable`` and, unless they reject adjusts,
+    ``_adjust``; inserts go either to an ``_insert_batch`` over a run (R0-R4)
+    or to a per-element ``_insert`` the base ``_insert_batch`` loops over.
+    The base class handles dispatch, statistics, input lifecycle, and
+    output.
     """
 
     #: Human-readable algorithm name (set by subclasses, e.g. "LMR3+").
@@ -224,10 +227,9 @@ class LMergeBase:
         # that the LEADING insert policy used to pay per insert.
         self._leader: Optional[StreamId] = None
         self._leader_stable: Timestamp = MINUS_INFINITY
-        # Batched dispatch: element class -> handler for a run of
-        # consecutive same-class elements.  No isinstance chain on the
-        # batched hot path; subclasses override the handlers to install
-        # fast paths (see process_batch).
+        # Element class -> handler for a run of consecutive same-class
+        # elements: the one dispatch of process and process_batch.
+        # Subclasses override the handlers to install fast paths.
         self._batch_dispatch: Dict[type, Callable] = {
             Insert: self._insert_batch,
             Adjust: self._adjust_batch,
@@ -347,7 +349,8 @@ class LMergeBase:
     # ------------------------------------------------------------------
 
     def process(self, element: Element, stream_id: StreamId) -> None:
-        """Feed one element from one input through the merge."""
+        """Feed one element from one input through the merge: a run of one
+        through the handler :meth:`process_batch` would pick for it."""
         state = self._inputs.get(stream_id)
         if state is None:
             raise InputStateError(
@@ -359,28 +362,10 @@ class LMergeBase:
                 "process", self.name,
                 stream=str(stream_id), cls=element.__class__.__name__,
             )
-        if isinstance(element, Insert):
-            self.stats.inserts_in += 1
-            self._insert(element, stream_id)
-        elif isinstance(element, Adjust):
-            self.stats.adjusts_in += 1
-            if not self.supports_adjust:
-                raise UnsupportedElementError(
-                    f"{self.algorithm} does not support adjust(): {element}"
-                )
-            self._adjust(element, stream_id)
-        elif isinstance(element, Stable):
-            self.stats.stables_in += 1
-            self._note_stable(state, stream_id, element.vc)
-            if self.is_joined(stream_id):
-                self._stable(element.vc, stream_id)
-            # A still-joining stream (Section V-B) may deliver data but
-            # not drive the output frontier: its punctuation does not
-            # vouch for history it may have missed before its guarantee
-            # point.  Its stables are tracked (for leading-stream and
-            # feedback purposes) but not forwarded.
-        else:
+        handler = self._batch_dispatch.get(element.__class__)
+        if handler is None:
             raise TypeError(f"not a stream element: {element!r}")
+        handler((element,), stream_id, state, False)
 
     def _insert(self, element: Insert, stream_id: StreamId) -> None:
         raise NotImplementedError
@@ -404,15 +389,14 @@ class LMergeBase:
     ) -> None:
         """Feed a slice of consecutive elements from one input.
 
-        Semantically equivalent to calling :meth:`process` element by
-        element, but amortizes the per-element overhead: elements are
-        grouped into runs of the same class and dispatched through a
-        type-keyed table (no ``isinstance`` chain), statistics are updated
-        once per run, and subclasses install run-level fast paths
-        (:meth:`_insert_batch` overrides in R0-R4).  The equivalence
-        holds for inputs that satisfy the variant's restriction: R0-R2
-        decide a Vs-ordered run by zone, so which elements of an
-        *unordered* run they drop differs from :meth:`process` (see
+        Elements are grouped into runs of the same class, each handed to
+        its handler in a type-keyed table (:meth:`process` is a run of
+        one through the same table), so statistics are updated once per
+        run and subclasses decide a run at once (:meth:`_insert_batch`
+        in R0-R4).  For inputs that satisfy the variant's restriction the
+        output does not depend on how the input is sliced: R0-R2 decide a
+        Vs-ordered run by zone, so which elements of an *unordered*
+        (out-of-contract) run they drop depends on the batch size (see
         docs/ALGORITHMS.md, "Batched execution").
 
         With ``coalesce_stables=True``, a run of consecutive ``stable()``
@@ -461,8 +445,8 @@ class LMergeBase:
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        """Process a run of consecutive inserts; subclasses override with
-        loop-hoisted fast paths."""
+        """Process a run of consecutive inserts through the per-element
+        ``_insert`` (LMR3-, COUNT); R0-R4 override it with their kernel."""
         self.stats.inserts_in += len(run)
         _insert = self._insert
         for element in run:
@@ -477,8 +461,7 @@ class LMergeBase:
     ) -> None:
         """Process a run of consecutive adjusts."""
         if not self.supports_adjust:
-            # Mirror the per-element path: the offending element is
-            # counted, then rejected.
+            # The offending element is counted, then rejected.
             self.stats.adjusts_in += 1
             raise UnsupportedElementError(
                 f"{self.algorithm} does not support adjust(): {run[0]}"
@@ -502,6 +485,13 @@ class LMergeBase:
         state every intermediate stable would have seen, so a single
         ``_stable`` call at the maximum freezes the same events to the
         same end times (see docs/ALGORITHMS.md, "Batched execution").
+
+        A still-joining stream (Section V-B) may deliver data but not
+        drive the output frontier (``max_stable >= guarantee_from`` is
+        :meth:`is_joined`): its punctuation does not vouch for history it
+        may have missed before its guarantee point.  Its stables are
+        tracked (for leading-stream and feedback purposes) but not
+        forwarded.
         """
         self.stats.stables_in += len(run)
         if coalesce_stables:
@@ -512,8 +502,6 @@ class LMergeBase:
             self._note_stable(state, stream_id, vc)
             if self.max_stable >= state.guarantee_from:
                 self._stable(vc, stream_id)
-            # A still-joining stream's punctuation is tracked but not
-            # forwarded (same rule as the per-element path).
             return
         guarantee = state.guarantee_from
         _stable = self._stable
@@ -706,36 +694,18 @@ class LMergeBase:
         streams: Iterable[PhysicalStream],
         schedule: str = "round_robin",
         seed: int = 0,
+        batch_size: int = 1,
+        coalesce_stables: bool = False,
     ) -> PhysicalStream:
         """Merge complete physical streams offline and return the output.
 
         ``schedule`` interleaves the inputs: ``"round_robin"`` alternates
-        element-by-element, ``"sequential"`` drains each stream in turn
-        (the worst case for buffering), ``"random"`` interleaves by a
-        seeded coin.  All inputs are attached as ids ``0..n-1``.
-        """
-        streams = list(streams)
-        for index in range(len(streams)):
-            if not self.is_attached(index):
-                self.attach(index)
-        for element, stream_id in interleave(streams, schedule, seed):
-            self.process(element, stream_id)
-        return self.output
-
-    def merge_batched(
-        self,
-        streams: Iterable[PhysicalStream],
-        schedule: str = "round_robin",
-        seed: int = 0,
-        batch_size: int = 64,
-        coalesce_stables: bool = False,
-    ) -> PhysicalStream:
-        """Batched counterpart of :meth:`merge`.
-
-        Feeds the same interleaving as :meth:`merge` (chunked into runs of
-        up to *batch_size* consecutive elements per stream) through
-        :meth:`process_batch`.  With ``coalesce_stables=False`` the output
-        is element-for-element identical to :meth:`merge`.
+        between them, ``"sequential"`` drains each stream in turn (the
+        worst case for buffering), ``"random"`` interleaves by a seeded
+        coin.  Each turn hands :meth:`process_batch` up to *batch_size*
+        consecutive elements of one stream (see
+        :func:`interleave_batches`); the default of 1 is the finest
+        interleaving.  All inputs are attached as ids ``0..n-1``.
         """
         streams = list(streams)
         for index in range(len(streams)):
@@ -750,37 +720,6 @@ class LMergeBase:
         return self.output
 
 
-def interleave(
-    streams: List[PhysicalStream], schedule: str = "round_robin", seed: int = 0
-) -> Iterable[Tuple[Element, int]]:
-    """Yield ``(element, stream_id)`` pairs per the named schedule."""
-    if schedule == "sequential":
-        for stream_id, stream in enumerate(streams):
-            for element in stream:
-                yield element, stream_id
-        return
-    lengths = [len(s) for s in streams]
-    positions = [0] * len(streams)
-    remaining = sum(lengths)
-    rng = random.Random(seed)
-    turn = 0
-    while remaining:
-        if schedule == "round_robin":
-            stream_id = turn % len(streams)
-            turn += 1
-            if positions[stream_id] >= lengths[stream_id]:
-                continue
-        elif schedule == "random":
-            live = [i for i in range(len(streams)) if positions[i] < lengths[i]]
-            stream_id = rng.choice(live)
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
-        element = streams[stream_id][positions[stream_id]]
-        positions[stream_id] += 1
-        remaining -= 1
-        yield element, stream_id
-
-
 def interleave_batches(
     streams: List[PhysicalStream],
     schedule: str = "round_robin",
@@ -789,13 +728,11 @@ def interleave_batches(
 ) -> Iterable[Tuple[List[Element], int]]:
     """Yield ``(elements, stream_id)`` chunks per the named schedule.
 
-    Flattening the chunks reproduces exactly the per-element order of
-    :func:`interleave` with the same schedule and seed *for the
-    "sequential" schedule*; for "round_robin" and "random" the chunks are
-    a coarser-grained interleaving (each turn hands over up to
-    *batch_size* consecutive elements instead of one), which is itself a
-    valid interleaving of the same inputs — the order within each stream
-    is preserved.
+    Each turn hands over up to *batch_size* consecutive elements of one
+    stream, so the order within each stream is preserved.  With
+    ``batch_size=1`` the chunks are the element-by-element interleaving;
+    larger sizes give a coarser one of the same inputs, except under
+    ``"sequential"``, whose flattened order does not depend on the size.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")

@@ -29,29 +29,6 @@ class LMergeR0(LMergeBase):
         super().__init__(**kwargs)
         self._max_vs: Timestamp = MINUS_INFINITY
 
-    def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        # Algorithm R0, lines 3-5: output iff the element advances MaxVs.
-        if element.vs > self._max_vs:
-            self._max_vs = element.vs
-            self._output_insert(element.payload, element.vs, element.ve)
-
-    def _admit(self, vss, lo: int, hi: int, rows) -> None:
-        """Algorithm R0 over the Vs-ordered run ``vss[lo:hi]``: everything
-        past MaxVs is new and is emitted as ``rows(first, hi)``; what
-        precedes it replicates elements already output.
-
-        Input elements are re-emitted as-is (an insert the filter passes
-        is value-equal to what _output_insert would construct).
-        """
-        self.stats.inserts_in += hi - lo
-        last = vss[hi - 1]
-        if last <= self._max_vs:
-            return  # a trailing replica's run: decided in O(1)
-        first = bisect_right(vss, self._max_vs, lo, hi)
-        self._max_vs = last
-        self.stats.inserts_out += hi - first
-        self._emit_batch(rows(first, hi))
-
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -59,7 +36,22 @@ class LMergeR0(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        self._admit(_VsColumn(run), 0, len(run), lambda a, b: run[a:b])
+        """Algorithm R0, lines 3-5, over a Vs-ordered run: an element is
+        output iff it advances MaxVs, so everything past MaxVs is new and
+        what precedes it replicates elements already output.
+
+        Input elements are re-emitted as-is (an insert the filter passes
+        is value-equal to what _output_insert would construct).
+        """
+        n = len(run)
+        self.stats.inserts_in += n
+        last = run[-1].vs
+        if last <= self._max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        first = bisect_right(_VsColumn(run), self._max_vs, 0, n)
+        self._max_vs = last
+        self.stats.inserts_out += n - first
+        self._emit_batch(run[first:])
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

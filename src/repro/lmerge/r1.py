@@ -45,58 +45,6 @@ class LMergeR1(LMergeBase):
         count = self._same_vs_count.pop(stream_id, 0)
         self._departed = max(self._departed, count)
 
-    def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        # Algorithm R1, lines 4-10.
-        if element.vs < self._max_vs:
-            return
-        if element.vs > self._max_vs:
-            for key in self._same_vs_count:
-                self._same_vs_count[key] = 0
-            self._departed = 0
-            self._max_vs = element.vs
-        count = self._same_vs_count[stream_id]
-        if count >= self._departed and count == max(self._same_vs_count.values()):
-            self._output_insert(element.payload, element.vs, element.ve)
-        self._same_vs_count[stream_id] = count + 1
-
-    def _admit(
-        self, vss, lo: int, hi: int, stream_id: StreamId, rows
-    ) -> None:
-        """Algorithm R1 over the Vs-ordered run ``vss[lo:hi]``: move MaxVs
-        and the counters as lines 4-10 would element by element, and emit
-        the new rows — always a suffix — as ``rows(first, hi)``.
-
-        Relative to MaxVs an ordered run is a stale prefix, a tie zone
-        (``Vs == MaxVs``) and a fresh suffix; two bisections find them.
-        """
-        self.stats.inserts_in += hi - lo
-        last = vss[hi - 1]
-        max_vs = self._max_vs
-        if last < max_vs:
-            return  # a trailing replica's run: decided in O(1)
-        counts = self._same_vs_count
-        tie = bisect_left(vss, max_vs, lo, hi)
-        fresh = bisect_right(vss, max_vs, tie, hi)
-        first = fresh
-        if tie < fresh:
-            # Only this stream's counter moves inside the zone, so its
-            # k-th row is new iff own + k has caught the leading counter.
-            own = counts[stream_id]
-            lead = max(self._departed, max(counts.values()))
-            first = min(tie + lead - own, fresh)
-            counts[stream_id] = own + fresh - tie
-        if fresh < hi:
-            # Every new Vs zeroes all counters, so the whole suffix is
-            # new and only its last Vs group is still being counted.
-            for key in counts:
-                counts[key] = 0
-            self._departed = 0
-            counts[stream_id] = hi - bisect_left(vss, last, fresh, hi)
-            self._max_vs = last
-        if first < hi:
-            self.stats.inserts_out += hi - first
-            self._emit_batch(rows(first, hi))
-
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -104,9 +52,43 @@ class LMergeR1(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        self._admit(
-            _VsColumn(run), 0, len(run), stream_id, lambda a, b: run[a:b]
-        )
+        """Algorithm R1, lines 4-10, over a Vs-ordered run: move MaxVs and
+        the counters as the listing would element by element, and emit
+        the new elements — always a suffix of the run.
+
+        Relative to MaxVs an ordered run is a stale prefix, a tie zone
+        (``Vs == MaxVs``) and a fresh suffix; two bisections find them.
+        """
+        n = len(run)
+        self.stats.inserts_in += n
+        last = run[-1].vs
+        max_vs = self._max_vs
+        if last < max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        vss = _VsColumn(run)
+        counts = self._same_vs_count
+        tie = bisect_left(vss, max_vs, 0, n)
+        fresh = bisect_right(vss, max_vs, tie, n)
+        first = fresh
+        if tie < fresh:
+            # Only this stream's counter moves inside the zone, so its
+            # k-th element is new iff own + k has caught the leading
+            # counter (line 8's count == max test).
+            own = counts[stream_id]
+            lead = max(self._departed, max(counts.values()))
+            first = min(tie + lead - own, fresh)
+            counts[stream_id] = own + fresh - tie
+        if fresh < n:
+            # Every new Vs zeroes all counters (lines 5-7), so the whole
+            # suffix is new and only its last Vs group is still counted.
+            for key in counts:
+                counts[key] = 0
+            self._departed = 0
+            counts[stream_id] = n - bisect_left(vss, last, fresh, n)
+            self._max_vs = last
+        if first < n:
+            self.stats.inserts_out += n - first
+            self._emit_batch(run[first:])
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

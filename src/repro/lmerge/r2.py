@@ -52,45 +52,6 @@ class LMergeR2(LMergeBase):
         self._hash_bytes += size
         return True
 
-    def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        # Algorithm R2, lines 4-10.
-        if element.vs < self._max_vs:
-            return
-        if element.vs > self._max_vs:
-            self._hash.clear()
-            self._hash_bytes = 0
-            self._max_vs = element.vs
-        if self._is_new(element.payload):
-            self._output_insert(element.payload, element.vs, element.ve)
-
-    def _admit(self, vss, lo: int, hi: int, rows) -> None:
-        """Algorithm R2 over the Vs-ordered run ``vss[lo:hi]``, whose
-        elements ``rows(a, b)`` hands over: the tie zone (``Vs == MaxVs``)
-        is deduplicated through the hash; the fresh suffix is all new.
-
-        ``(Vs, payload)`` is a key, so a fresh suffix holds no duplicate;
-        each new Vs restarts the hash, which ends holding the last group.
-        """
-        self.stats.inserts_in += hi - lo
-        last = vss[hi - 1]
-        max_vs = self._max_vs
-        if last < max_vs:
-            return  # a trailing replica's run: decided in O(1)
-        is_new = self._is_new
-        tie = bisect_left(vss, max_vs, lo, hi)
-        fresh = bisect_right(vss, max_vs, tie, hi)
-        out = [e for e in rows(tie, fresh) if is_new(e.payload)]
-        if fresh < hi:
-            self._hash.clear()
-            self._hash_bytes = 0
-            suffix = rows(fresh, hi)
-            for element in suffix[bisect_left(vss, last, fresh, hi) - fresh :]:
-                is_new(element.payload)
-            out += suffix
-            self._max_vs = last
-        self.stats.inserts_out += len(out)
-        self._emit_batch(out)
-
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -98,7 +59,34 @@ class LMergeR2(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        self._admit(_VsColumn(run), 0, len(run), lambda a, b: run[a:b])
+        """Algorithm R2, lines 4-10, over a Vs-ordered run: the tie zone
+        (``Vs == MaxVs``) is deduplicated through the hash; the fresh
+        suffix is all new.
+
+        ``(Vs, payload)`` is a key, so a fresh suffix holds no duplicate;
+        each new Vs restarts the hash (lines 5-7), which ends holding the
+        last group.
+        """
+        n = len(run)
+        self.stats.inserts_in += n
+        last = run[-1].vs
+        max_vs = self._max_vs
+        if last < max_vs:
+            return  # a trailing replica's run: decided in O(1)
+        vss = _VsColumn(run)
+        is_new = self._is_new
+        tie = bisect_left(vss, max_vs, 0, n)
+        fresh = bisect_right(vss, max_vs, tie, n)
+        out = [e for e in run[tie:fresh] if is_new(e.payload)]
+        if fresh < n:
+            self._hash.clear()
+            self._hash_bytes = 0
+            for element in run[bisect_left(vss, last, fresh, n) :]:
+                is_new(element.payload)
+            out += run[fresh:]
+            self._max_vs = last
+        self.stats.inserts_out += len(out)
+        self._emit_batch(out)
 
     def _adjust(self, element: Adjust, stream_id: StreamId) -> None:
         raise AssertionError("unreachable: supports_adjust is False")

@@ -56,21 +56,6 @@ class LMergeR3(LMergeBase):
     # Insert (Algorithm R3, lines 3-10)
     # ------------------------------------------------------------------
 
-    def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        if element.vs < self.max_stable:
-            node = self._index.find(element.vs, element.payload)
-            if node is None:
-                # The key was frozen and its node retired; this input is
-                # merely behind (Section V-C: already output, or dropped).
-                # A frozen key must not be materialized again.
-                self.dropped_frozen += 1
-                return
-        else:
-            node, _ = self._index.find_or_add(element)
-        node.add_entry(stream_id, element.ve)
-        if node.get_entry(OUTPUT) is None and self._emit_now(node, stream_id):
-            self._place_on_output(node, element.ve)
-
     def _emit_now(self, node: In2TNode, stream_id: StreamId) -> bool:
         """Location-2 policy: should this key be placed on the output?"""
         insert_policy = self.policy.insert
@@ -95,12 +80,14 @@ class LMergeR3(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path over the per-element _insert: the default FIRST
-        # policy short-circuited out of the loop, hash entries written
-        # directly, and survivors emitted in one extend.  Frozen keys
-        # (Vs < MaxStable) must not be materialized, so they take the
-        # find-only branch.  An emitted input element is value-equal to
-        # the Insert _place_on_output would build.
+        # The default FIRST policy is short-circuited out of the loop,
+        # hash entries are written directly, and survivors are emitted in
+        # one extend.  A key with Vs < MaxStable was frozen and its node
+        # retired; this input is merely behind (Section V-C: already
+        # output, or dropped), and the key must not be materialized
+        # again, so it takes the find-only branch.  An emitted input
+        # element is value-equal to the Insert _place_on_output would
+        # build.
         self.stats.inserts_in += len(run)
         index = self._index
         find = index.find

@@ -65,25 +65,6 @@ class LMergeR4(LMergeBase):
     # Insert (Algorithm R4, lines 3-11)
     # ------------------------------------------------------------------
 
-    def _insert(self, element: Insert, stream_id: StreamId) -> None:
-        if element.vs < self.max_stable:
-            # Keys behind MaxStable must not be materialized, and can
-            # never reach the output (the Vs >= MaxStable guard of line 8).
-            node = self._index.find(element.vs, element.payload)
-            if node is None:
-                self.dropped_frozen += 1
-            else:
-                node.increment(stream_id, element.ve)
-            return
-        node = self._index.find_or_add(element)
-        node.increment(stream_id, element.ve)
-        if node.total_count(stream_id) > node.total_count(OUTPUT):
-            # This input now holds more events for the key than we have
-            # output — the new event is not a duplicate of anything the
-            # output already carries.
-            self._output_insert(element.payload, element.vs, element.ve)
-            node.increment(OUTPUT, element.ve)
-
     def _insert_batch(
         self,
         run: Sequence[Insert],
@@ -91,10 +72,10 @@ class LMergeR4(LMergeBase):
         state: _InputState,
         coalesce_stables: bool,
     ) -> None:
-        # Fast path: one index probe per element (find_or_add instead of
-        # find + add) and one bulk emit.  Keys behind MaxStable must not
-        # be materialized, so they take the find-only branch — and can
-        # never reach the output (the Vs >= MaxStable guard of line 8).
+        # One index probe per element (find_or_add instead of find + add)
+        # and one bulk emit.  Keys behind MaxStable must not be
+        # materialized, so they take the find-only branch — and can never
+        # reach the output (the Vs >= MaxStable guard of line 8).
         self.stats.inserts_in += len(run)
         index = self._index
         find_or_add = index.find_or_add
@@ -113,6 +94,9 @@ class LMergeR4(LMergeBase):
             node = find_or_add(element)
             node.increment(stream_id, ve)
             if node.total_count(stream_id) > node.total_count(OUTPUT):
+                # This input now holds more events for the key than we
+                # have output — the new event is not a duplicate of
+                # anything the output already carries.
                 out.append(element)
                 node.increment(OUTPUT, ve)
         if out:

@@ -21,10 +21,10 @@ promise what every shard has promised (see docs/ALGORITHMS.md,
 
 :class:`ShardedLMerge` mirrors the :class:`~repro.lmerge.base.LMergeBase`
 driving surface (``attach``/``process``/``process_batch``/``merge``/
-``merge_batched``/``output``/``stats``) so benches and tests can swap it
-in for a plain variant; call :meth:`ShardedLMerge.close` (or use the
-offline drivers, which close for you) to join the workers and fold the
-per-shard statistics.
+``output``/``stats``) so benches and tests can swap it in for a plain
+variant; call :meth:`ShardedLMerge.close` (or use the offline driver,
+which closes for you) to join the workers and fold the per-shard
+statistics.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ class ShardedLMerge:
         return self._union.frontiers
 
     # ------------------------------------------------------------------
-    # Offline drivers (mirror LMergeBase.merge / merge_batched)
+    # Offline driver (mirrors LMergeBase.merge)
     # ------------------------------------------------------------------
 
     def merge(
@@ -326,23 +326,14 @@ class ShardedLMerge:
         seed: int = 0,
         batch_size: int = 64,
     ) -> PhysicalStream:
-        """Merge complete physical streams offline and return the output.
+        """Merge complete physical streams offline, close the plan, and
+        return the output.
 
-        Unlike the unsharded driver, elements always travel in micro-batch
-        envelopes (*batch_size* per scheduling turn): per-element IPC
-        would drown the process backend in round trips.
+        Unlike the unsharded driver, elements travel in 64-element
+        envelopes by default (*batch_size* per scheduling turn):
+        per-element IPC would drown the process backend in round trips.
+        Stable coalescing is a per-plan setting (see ``__init__``).
         """
-        return self.merge_batched(streams, schedule, seed, batch_size)
-
-    def merge_batched(
-        self,
-        streams: Iterable[PhysicalStream],
-        schedule: str = "round_robin",
-        seed: int = 0,
-        batch_size: int = 64,
-        coalesce_stables: bool = False,
-    ) -> PhysicalStream:
-        del coalesce_stables  # per-plan, set in __init__
         streams = list(streams)
         for index in range(len(streams)):
             if not self.is_attached(index):

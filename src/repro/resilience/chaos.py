@@ -107,7 +107,7 @@ def run_chaos_cell(
     reference, inputs = _workload(variant_key, seed, count)
 
     baseline = shard(VARIANTS[variant_key], num_shards, backend="serial")
-    baseline_out = baseline.merge_batched(inputs, batch_size=batch_size)
+    baseline_out = baseline.merge(inputs, batch_size=batch_size)
 
     # Sequence numbers count per-shard frames (attach ops + batch
     # buckets); aiming sites at the first half of the batch range keeps
@@ -130,7 +130,7 @@ def run_chaos_cell(
             durable_dir=state_dir,
             fault_plan=plan,
         )
-        supervised_out = supervised.merge_batched(
+        supervised_out = supervised.merge(
             inputs, batch_size=batch_size
         )
         runtime = supervised.runtime

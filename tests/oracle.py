@@ -40,7 +40,7 @@ from repro.streams.properties import Restriction
 from repro.structures import frontier as frontier_module
 from repro.structures.in3t import _BY_KEY, In3T, In3TNode
 from repro.temporal.elements import Insert, Stable
-from repro.temporal.tdb import TDB, reconstitute
+from repro.temporal.tdb import TDB, StreamViolationError, reconstitute
 from repro.temporal.time import INFINITY, MINUS_INFINITY
 from repro.theory.compatibility import (
     check_r3_compatibility,
@@ -411,6 +411,14 @@ def digest(output):
     return len(output), hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _output_tdb(out, cell):
+    """*out*'s TDB; an output that is not a valid stream fails *cell*."""
+    try:
+        return reconstitute(out)
+    except StreamViolationError as exc:
+        raise AssertionError(f"{cell}: invalid output stream: {exc}") from exc
+
+
 def check(
     variant,
     shape="divergent",
@@ -461,10 +469,10 @@ def check(
                     getattr(watcher, "finish", lambda: None)()
                 cell = (variant, shape, seed, policy, path, snapshots)
                 if base is None:
-                    assert reconstitute(out) == case.reference.tdb(), cell
+                    assert _output_tdb(out, cell) == case.reference.tdb(), cell
                     base = out, merge.stats, merge.max_stable
                 elif path == "coalesce":
-                    assert reconstitute(out) == reconstitute(base[0]), cell
+                    assert _output_tdb(out, cell) == reconstitute(base[0]), cell
                     assert merge.stats.stables_out <= base[1].stables_out, cell
                     assert merge.stats.stables_in == base[1].stables_in, cell
                     continue
@@ -494,7 +502,7 @@ def check_sharded(
     assert reconstitute(out) == case.reference.tdb()
     if _restriction(variant) >= Restriction.R3:
         flat = cls(reclamation=options.get("reclamation"))
-        flat.merge_batched(case.replicas, "round_robin", 0, batch_size)
+        flat.merge(case.replicas, "round_robin", 0, batch_size)
         assert data_by_key(out) == data_by_key(flat.output)
 
 
@@ -620,9 +628,9 @@ def _unfile_keeping_emptied_vs(self, nodes):
 class _StuckTieCounterR1(LMergeR1):
     """A run's tie zone leaves the stream's same-Vs counter unmoved."""
 
-    def _admit(self, vss, lo, hi, stream_id, rows):
+    def _insert_batch(self, run, stream_id, state, coalesce_stables):
         before = self._max_vs, self._same_vs_count[stream_id]
-        super()._admit(vss, lo, hi, stream_id, rows)
+        super()._insert_batch(run, stream_id, state, coalesce_stables)
         if self._max_vs == before[0]:
             self._same_vs_count[stream_id] = before[1]
 
@@ -630,9 +638,9 @@ class _StuckTieCounterR1(LMergeR1):
 class _ForgetfulR2(LMergeR2):
     """A run that moves MaxVs forgets the last group it emitted."""
 
-    def _admit(self, vss, lo, hi, rows):
-        moved = vss[hi - 1] > self._max_vs
-        super()._admit(vss, lo, hi, rows)
+    def _insert_batch(self, run, stream_id, state, coalesce_stables):
+        moved = run[-1].vs > self._max_vs
+        super()._insert_batch(run, stream_id, state, coalesce_stables)
         if moved:
             self._hash.clear()
 
@@ -661,7 +669,7 @@ MUTANTS = {
     "emptied Vs left in the order": (
         "LMR4", None, [(In3T, "_unfile", _unfile_keeping_emptied_vs)]
     ),
-    # The R0-R2 run kernels: only the batch paths take them.
+    # The R0-R2 run kernels: every path takes them (process: runs of one).
     "R1 tie counter stuck": ("LMR1", _StuckTieCounterR1, []),
     "R2 last group forgotten": ("LMR2", _ForgetfulR2, []),
 }

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.analysis.checked import MergeCheck, PropertyViolationError
 from repro.engine.operator import CollectorSink
 from repro.engine.runtime import QueuedEdge, Runtime
-from repro.lmerge.base import interleave, interleave_batches
+from repro.lmerge.base import InputStateError, interleave_batches
 from repro.lmerge.counting import CountingMerge
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r1 import LMergeR1
@@ -71,15 +71,16 @@ class TestExactEquivalence:
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_merge_batched_driver(self, name, schedule):
-        """The offline drivers agree under every schedule."""
+        """The offline driver agrees with itself across batch sizes
+        under every schedule."""
         streams = scenario(name, seed=5).replicas
         per, bat, again = (VARIANTS[name]() for _ in range(3))
         out_per = per.merge(streams, schedule="sequential")
-        out_bat = bat.merge_batched(streams, schedule="sequential")
+        out_bat = bat.merge(streams, schedule="sequential", batch_size=64)
         assert (list(out_per), per.stats) == (list(out_bat), bat.stats)
         # Other schedules chunk more coarsely — still a valid
         # interleaving, so the outputs stay logically equivalent.
-        out_again = again.merge_batched(streams, schedule=schedule)
+        out_again = again.merge(streams, schedule=schedule, batch_size=64)
         assert out_again.tdb() == out_per.tdb()
 
     @pytest.mark.parametrize("coalesce", [False, True])
@@ -117,8 +118,8 @@ class TestExactEquivalence:
         assert merges[0].max_stable == INFINITY
 
     def test_counting_merge_uses_generic_path(self):
-        """Variants without a fast path fall back to the per-element
-        loop inside process_batch."""
+        """A variant with a per-element ``_insert`` is run by the base
+        ``_insert_batch`` loop on both entry points."""
         check("LMR0", Shape(stable_keep=1.0), 3, make=CountingMerge,
               roster=False, paths=("process", "batch"), policies=("none",))
 
@@ -281,23 +282,30 @@ class TestCoalescedStables:
 
 
 class TestProcessBatchContract:
-    def test_unattached_stream_rejected(self):
-        merge = LMergeR3()
-        with pytest.raises(Exception, match="unattached"):
-            merge.process_batch([Insert("a", 1)], 99)
+    """``process`` and ``process_batch`` reject the same inputs the same
+    way (``batch`` is ``process_batch``; see oracle.FEEDS)."""
 
-    def test_non_element_rejected(self):
+    @pytest.mark.parametrize("path", ["process", "batch"])
+    def test_unattached_stream_rejected(self, path):
+        merge = LMergeR3()
+        with pytest.raises(InputStateError, match="unattached"):
+            FEEDS[path](merge, [Insert("a", 1)], 99)
+
+    @pytest.mark.parametrize("path", ["process", "batch"])
+    def test_non_element_rejected(self, path):
         merge = LMergeR3()
         merge.attach(0)
         with pytest.raises(TypeError, match="not a stream element"):
-            merge.process_batch([Insert("a", 1), object()], 0)
+            FEEDS[path](merge, [Insert("a", 1), object()], 0)
+        assert merge.stats.inserts_in == 1
 
-    def test_adjust_rejected_under_r0(self):
+    @pytest.mark.parametrize("path", ["process", "batch"])
+    def test_adjust_rejected_under_r0(self, path):
         merge = LMergeR0()
         merge.attach(0)
         with pytest.raises(TypeError, match="does not support adjust"):
-            merge.process_batch([Adjust("a", 1, 5, 7)], 0)
-        # The offending element was counted, mirroring process().
+            FEEDS[path](merge, [Adjust("a", 1, 5, 7), Adjust("b", 2, 5, 7)], 0)
+        # The offending element was counted, then rejected.
         assert merge.stats.adjusts_in == 1
 
     def test_empty_batch_is_noop(self):
@@ -308,14 +316,19 @@ class TestProcessBatchContract:
 
     def test_interleave_batches_flattens_to_interleave(self):
         """For the sequential schedule the chunked interleaving flattens
-        to exactly the per-element interleaving."""
+        to exactly the per-element one (chunks of one)."""
         streams = scenario("LMR3+", seed=7).replicas
-        flat = [
-            (element, sid)
-            for chunk, sid in interleave_batches(streams, "sequential", 0, 13)
-            for element in chunk
-        ]
-        assert flat == list(interleave(streams, "sequential", 0))
+
+        def flat(batch_size):
+            return [
+                (element, sid)
+                for chunk, sid in interleave_batches(
+                    streams, "sequential", 0, batch_size
+                )
+                for element in chunk
+            ]
+
+        assert flat(13) == flat(1)
 
     def test_interleave_batches_preserves_per_stream_order(self):
         streams = scenario("LMR3+", seed=9).replicas

@@ -3,12 +3,21 @@ feedback fan-out."""
 
 import pytest
 
-from repro.lmerge.base import LMergeBase, MergeStats, interleave
+from repro.lmerge.base import LMergeBase, MergeStats, interleave_batches
 from repro.lmerge.r0 import LMergeR0
 from repro.lmerge.r3 import LMergeR3
 from repro.streams.stream import PhysicalStream
 from repro.temporal.elements import Adjust, Insert, Stable
 from repro.temporal.time import INFINITY
+
+
+def interleave(streams, schedule, seed=0):
+    """The element-by-element interleaving: chunks of one, flattened."""
+    return [
+        (element, sid)
+        for chunk, sid in interleave_batches(streams, schedule, seed, 1)
+        for element in chunk
+    ]
 
 
 def streams(*lengths):

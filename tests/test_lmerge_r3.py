@@ -222,9 +222,11 @@ class TestMemorySharing:
         for merge, tracker in ((plus, "plus"), (naive, "naive")):
             for stream_id in range(len(inputs)):
                 merge.attach(stream_id)
-        from repro.lmerge.base import interleave
+        from repro.lmerge.base import interleave_batches
 
-        for element, stream_id in interleave(inputs, "round_robin", 0):
+        for (element,), stream_id in interleave_batches(
+            inputs, "round_robin", 0, 1
+        ):
             plus.process(element, stream_id)
             naive.process(element, stream_id)
             peak_plus = max(peak_plus, plus.memory_bytes())

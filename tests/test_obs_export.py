@@ -167,9 +167,11 @@ class TestRunReport:
         for stream_id in range(len(inputs)):
             merge.attach(stream_id)
         processed = 0
-        from repro.lmerge.base import interleave
+        from repro.lmerge.base import interleave_batches
 
-        for element, stream_id in interleave(inputs, "round_robin", 0):
+        for (element,), stream_id in interleave_batches(
+            inputs, "round_robin", 0, 1
+        ):
             merge.process(element, stream_id)
             processed += 1
             if processed % 50 == 0:

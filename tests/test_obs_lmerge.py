@@ -103,7 +103,7 @@ class TestLMergeObserver:
         inputs = divergent_inputs(reference, n=2)
         merge = LMergeR3()
         observer = LMergeObserver(merge, registry)
-        merge.merge_batched(inputs, schedule="sequential")
+        merge.merge(inputs, schedule="sequential", batch_size=64)
         observer.sample()
         stats = merge.stats
         assert registry.counter(

@@ -148,7 +148,7 @@ class TestLMergeTracing:
         merge = LMergeR3().set_tracer(tracer)
         reference = small_stream(count=120, blob=2)
         inputs = divergent_inputs(reference, n=2)
-        merge.merge_batched(inputs, schedule="sequential", batch_size=32)
+        merge.merge(inputs, schedule="sequential", batch_size=32)
         batches = [
             e for e in tracer.events() if e["kind"] == "process_batch"
         ]
@@ -164,9 +164,9 @@ class TestLMergeTracing:
         reference = small_stream(count=150, blob=2)
         inputs = divergent_inputs(reference, n=2)
         plain = LMergeR3()
-        out_plain = plain.merge_batched(inputs, schedule="sequential")
+        out_plain = plain.merge(inputs, schedule="sequential", batch_size=64)
         traced = LMergeR3().set_tracer(RingTracer(capacity=16))
-        out_traced = traced.merge_batched(inputs, schedule="sequential")
+        out_traced = traced.merge(inputs, schedule="sequential", batch_size=64)
         assert list(out_plain) == list(out_traced)
         assert plain.stats == traced.stats
 

@@ -65,7 +65,7 @@ def test_reference_point_recorded_before_the_oracle(name, policy):
     suite existed."""
     inputs = divergent_inputs(small_stream(300, seed=3, disorder=0.3), n=3)
     merge = VARIANTS[name](reclamation=POLICIES[policy])
-    merge.merge_batched(inputs, schedule="random", seed=3, batch_size=16)
+    merge.merge(inputs, schedule="random", seed=3, batch_size=16)
     count, prefix = digest(merge.output)
     assert (count, prefix[:12]) == (369, "90680de3ad3f")
 

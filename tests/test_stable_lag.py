@@ -70,12 +70,14 @@ class TestStableLag:
 
         def peak(policy):
             merge = LMergeR3(policy=policy)
-            from repro.lmerge.base import interleave
+            from repro.lmerge.base import interleave_batches
 
             for stream_id in range(2):
                 merge.attach(stream_id)
             peak_keys = 0
-            for element, stream_id in interleave(list(inputs), "round_robin", 0):
+            for (element,), stream_id in interleave_batches(
+                list(inputs), "round_robin", 0, 1
+            ):
                 merge.process(element, stream_id)
                 peak_keys = max(peak_keys, merge.live_keys)
             return peak_keys

@@ -34,7 +34,7 @@ def run_pair(fault_plan, tmp_path, count=160, registry=None):
     reference = small_stream(count=count, seed=3, disorder=0.2, stable_freq=0.08)
     inputs = divergent_inputs(reference, n=2)
     baseline = shard(LMergeR3, 2, backend="serial")
-    baseline_out = baseline.merge_batched(inputs, batch_size=16)
+    baseline_out = baseline.merge(inputs, batch_size=16)
     plan = shard(
         LMergeR3,
         2,
@@ -44,7 +44,7 @@ def run_pair(fault_plan, tmp_path, count=160, registry=None):
         fault_plan=fault_plan,
         registry=registry,
     )
-    supervised_out = plan.merge_batched(inputs, batch_size=16)
+    supervised_out = plan.merge(inputs, batch_size=16)
     return reference, baseline_out, supervised_out, plan.runtime
 
 
@@ -263,7 +263,7 @@ class TestDriverRestartResume:
         reference = small_stream(count=120, seed=6, disorder=0.2)
         inputs = divergent_inputs(reference, n=2)
         baseline = shard(LMergeR3, 1, backend="serial")
-        baseline_out = baseline.merge_batched(inputs, batch_size=16)
+        baseline_out = baseline.merge(inputs, batch_size=16)
 
         factory = merge_factory(LMergeR3)
         first = SupervisedRuntime(factory, 1, durable_dir=str(tmp_path)).start()
