@@ -78,7 +78,7 @@ __all__ = [
 #: Frame kinds (one byte on the wire).
 CTRL = 1  #: pickled control tuple (attach / detach / shutdown sentinel)
 BATCH = 2  #: u64 seq | u16 len | pickled stream id | RCB1 (driver -> worker)
-OUT = 3  #: u64 emitted_before | RCB1 of shard output (worker -> driver)
+OUT = 3  #: u64 emitted_before | u64 seq | u32 rows | i32 source per row | RCB1 (worker -> driver)
 DONE = 4  #: pickled final MergeStats (worker -> driver, last frame)
 ERR = 5  #: pickled worker traceback text (worker -> driver, last frame)
 HB = 6  #: pickled heartbeat/progress tuple (supervised worker -> driver)
@@ -152,7 +152,11 @@ FRAME_PROTOCOL: Dict[int, FrameSpec] = {
             producer="worker",
             terminal=False,
             discipline="blocking",
-            payload="u64 emitted_before | ColumnBatch wire frame of output",
+            payload=(
+                "u64 emitted_before | u64 seq of the BATCH answered | u32 rows"
+                " | i32 per row: its index in that BATCH, or -1 for the next"
+                " row of the ColumnBatch wire frame that follows"
+            ),
         ),
         FrameSpec(
             kind=DONE,

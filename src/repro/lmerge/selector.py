@@ -78,7 +78,7 @@ def create_lmerge(
     spec: Union[Restriction, StreamProperties, Iterable[StreamProperties]],
     policy: Optional[OutputPolicy] = None,
     shards: int = 1,
-    backend: str = "thread",
+    backend: str = "serial",
     **kwargs,
 ) -> "Union[LMergeBase, ShardedLMerge]":
     """Instantiate the algorithm :func:`algorithm_for` selects.

@@ -51,7 +51,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.engine.shm as shm_rings
 from repro.engine.parallel import (
@@ -64,6 +64,7 @@ from repro.obs.telemetry import FlightRecorder, make_trace_id
 from repro.resilience.faults import KILL_EXIT_CODE, FaultPlan
 from repro.resilience.snapshot import load_snapshot, save_snapshot
 from repro.resilience.store import StateStore, StateStoreError
+from repro.temporal.elements import Element
 
 __all__ = ["SupervisedRuntime", "RecoveryRecord"]
 
@@ -503,6 +504,17 @@ class SupervisedRuntime(ParallelRuntime):
         if got:
             self._last_beat[shard] = monotonic()  # any frame is a beat
         return got
+
+    def _answered(self, shard: int, seq: int) -> Sequence[Element]:
+        """BATCH *seq*'s elements, read from the journal by number: a
+        replayed worker answers frames again, and an OUT always lands
+        before the CKPT ack that trims its frame."""
+        journal = self._journal[shard]
+        # The journal's seqs are consecutive; an OUT only answers a BATCH.
+        index = seq - journal[0][0] if journal else -1
+        if 0 <= index < len(journal):
+            return journal[index][1][2].to_elements()
+        return ()
 
     def _worker_report(self, shard: int, kind: int, message: Any) -> None:
         if kind == shm_rings.CKPT:

@@ -20,13 +20,17 @@ correctness halves (replica output identity, TELEM-on equivalence) run
 everywhere.
 """
 
+import ast
+import inspect
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine.parallel import available_cores
 from repro.lmerge.r3 import LMergeR3
-from repro.lmerge.base import interleave_batches
+from repro.lmerge.base import InputStateError, LMergeBase, interleave_batches
 from repro.lmerge.sharded import shard
 from repro.obs.registry import MetricRegistry
 from repro.obs.trace import NULL_TRACER
@@ -37,10 +41,15 @@ BUDGET = 0.95  # shipped throughput must stay >= 95% of the replica's
 REPS = 5
 
 
-def untraced_process_batch(merge, elements, stream_id):
-    """The pre-instrumentation inner loop: run-grouping + type-keyed
-    dispatch, no tracer guard.  Must mirror LMergeBase.process_batch."""
-    state = merge._inputs[stream_id]
+def untraced_process_batch(merge, elements, stream_id, *, coalesce_stables=False):
+    """``LMergeBase.process_batch`` minus its tracer lines
+    (``test_replicas_are_the_shipped_loop_minus_the_tracer`` holds the
+    two together)."""
+    state = merge._inputs.get(stream_id)
+    if state is None:
+        raise InputStateError(
+            f"batch from unattached stream {stream_id!r}"
+        )
     dispatch = merge._batch_dispatch
     i = 0
     n = len(elements)
@@ -49,8 +58,50 @@ def untraced_process_batch(merge, elements, stream_id):
         j = i + 1
         while j < n and elements[j].__class__ is cls:
             j += 1
-        dispatch[cls](elements[i : j], stream_id, state, False)
+        handler = dispatch.get(cls)
+        if handler is None:
+            raise TypeError(f"not a stream element: {elements[i]!r}")
+        handler(elements[i:j], stream_id, state, coalesce_stables)
         i = j
+
+
+def _loop_without_tracer(function):
+    """*function*'s parameters and body as an AST dump, minus its
+    docstring, its annotations and every statement that names the
+    tracer, with ``self`` spelled ``merge``."""
+
+    class Rename(ast.NodeTransformer):
+        def visit_Name(self, node):
+            if node.id == "self":
+                node.id = "merge"
+            return node
+
+        def visit_arg(self, node):
+            if node.arg == "self":
+                node.arg = "merge"
+            node.annotation = None
+            return node
+
+    body = function.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    kept = [
+        statement
+        for statement in body
+        if not {"tracer", "traced"}
+        & {n.id for n in ast.walk(statement) if isinstance(n, ast.Name)}
+    ]
+    tree = Rename().visit(ast.Module(body=[function.args, *kept], type_ignores=[]))
+    return ast.dump(tree)
+
+
+def _function_def(source, name):
+    tree = ast.parse(textwrap.dedent(source))
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
 
 
 def _chunks(streams, batch_size=64):
@@ -69,6 +120,26 @@ def _run(streams, chunks, use_replica):
         for chunk, stream_id in chunks:
             merge.process_batch(chunk, stream_id)
     return time.perf_counter() - start, merge
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        (inspect.getsource(untraced_process_batch), "untraced_process_batch"),
+        (
+            (Path(__file__).parents[1] / "benchmarks" / "bench_hotpath.py").read_text(),
+            "_untraced_process_batch",
+        ),
+    ],
+    ids=["tier1", "bench_hotpath"],
+)
+def test_replicas_are_the_shipped_loop_minus_the_tracer(source, name):
+    """A budget against a stale copy charges the copy's missing work to
+    tracing: each replica must be ``process_batch`` with its tracer
+    statements deleted and nothing else changed."""
+    shipped = _function_def(inspect.getsource(LMergeBase.process_batch), "process_batch")
+    replica = _function_def(source, name)
+    assert _loop_without_tracer(replica) == _loop_without_tracer(shipped)
 
 
 def test_replica_matches_shipped_output():
@@ -93,12 +164,10 @@ def test_nulltracer_overhead_within_budget():
     merge = LMergeR3()
     assert merge.tracer is NULL_TRACER  # the default must be the null tracer
 
-    best_shipped = min(
-        _run(streams, chunks, use_replica=False)[0] for _ in range(REPS)
-    )
-    best_replica = min(
-        _run(streams, chunks, use_replica=True)[0] for _ in range(REPS)
-    )
+    best_shipped = best_replica = float("inf")
+    for _ in range(REPS):  # interleaved, so host drift hits both arms
+        best_shipped = min(best_shipped, _run(streams, chunks, False)[0])
+        best_replica = min(best_replica, _run(streams, chunks, True)[0])
     slowdown = best_shipped / best_replica
     assert slowdown <= 1 / BUDGET, (
         f"disabled tracing costs {slowdown - 1:.1%} on the hot path "
